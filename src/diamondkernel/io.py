@@ -7,8 +7,9 @@ DIMACS-flavored, UTF-8, LF:
     e <u> <v>
 
 Vertex ids are 0-based and must be smaller than n; m must match the number
-of edge lines.  The family token is a comma-separated list of items:
-"diamond", "<s>-diamond", or "k<t>" (e.g. "diamond,k4").
+of edge lines, and n may not exceed MAX_VERTICES.  The family token is a
+comma-separated list of items: "diamond", "<s>-diamond", or "k<t>" (e.g.
+"diamond,k4").
 """
 
 from __future__ import annotations
@@ -17,6 +18,10 @@ from .errors import FamilyError, ParseError
 from .family import FamilySpec
 from .graph import Graph, edge_key
 from .phase1 import Instance
+
+# The graph holds one adjacency set per vertex named in the header, about
+# 250 bytes each before any edge is read, so the header's n is capped.
+MAX_VERTICES = 1_000_000
 
 
 def parse_instance(text: str) -> Instance:
@@ -39,6 +44,8 @@ def parse_instance(text: str) -> Instance:
                 raise ParseError("n, m, k must be integers", lineno)
             if n < 0 or m < 0 or k < 0:
                 raise ParseError("n, m, k must be non-negative", lineno)
+            if n > MAX_VERTICES:
+                raise ParseError(f"n = {n} exceeds the limit of {MAX_VERTICES} vertices", lineno)
             try:
                 family = FamilySpec.parse_token(fields[5])
             except FamilyError as exc:

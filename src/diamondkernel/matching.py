@@ -3,7 +3,9 @@
 Blossom contraction over a BFS alternating forest, O(V^3).  A greedy
 2-approximation is not enough here: the sunflower rule's threshold compares
 an exact maximum non-matching against k+1, and the kernel-size constants
-assume the rule fires exactly when stated.
+assume the rule fires exactly when stated.  maximum_non_matching_size runs
+a greedy non-matching first and returns it only where it is provably
+maximum; Edmonds' algorithm still decides every other case.
 """
 
 from __future__ import annotations
@@ -98,8 +100,26 @@ def maximum_non_matching_size(g: Graph, vs: set[int] | None = None) -> int:
     """Largest set of pairwise vertex-disjoint non-edges of g[vs].
 
     Equals the maximum matching of the complement restricted to vs, which is
-    how the sunflower rule's threshold is evaluated.
+    how the sunflower rule's threshold is evaluated.  A greedy non-matching
+    (each vertex in ascending order paired with the smallest free
+    non-neighbour) settles two cases exactly: size 0 means g[vs] has no
+    non-edge at all, since every vertex was tried against all later ones,
+    and size |vs| // 2 is perfect, so nothing larger exists.  Only the cases
+    in between need Edmonds' algorithm on the complement, and it is what
+    keeps the threshold exact there.
     """
     if vs is None:
         vs = g.vertex_set()
+    free = set(vs)
+    greedy = 0
+    for u in sorted(vs):
+        if u not in free:
+            continue
+        free.discard(u)
+        partners = free - g.neighbors(u)
+        if partners:
+            free.discard(min(partners))
+            greedy += 1
+    if greedy == 0 or greedy == len(vs) // 2:
+        return greedy
     return len(maximum_matching(g.complement_restricted(vs)))

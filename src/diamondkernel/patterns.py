@@ -7,6 +7,21 @@ non-adjacent common neighbors, so every search walks the edges and inspects
 N(x) & N(y) instead of enumerating vertex subsets.  Occurrence order is
 fixed globally (smallest sorted vertex tuple, s-diamonds before cliques) so
 the greedy packing and everything built on it are reproducible.
+
+find_induced_occurrence returns that first occurrence without enumerating
+the others, and gives exactly the answer of taking the minimum over the
+iter_*_occurrences enumerators, which stay as the reference:
+
+* Per edge xy only the lexicographically first independent (s+1)-subset of
+  the common neighbourhood is built, by a depth-first search that narrows
+  its candidates with set differences and stops at the first hit.  Adding
+  the same vertices {x, y}, disjoint from both, to two equal-size sets
+  keeps their order, so that subset gives the edge's smallest tuple.
+* An edge is skipped when min(x, min(common)) already exceeds the first
+  vertex of the best tuple found, since every occurrence it centres
+  contains a vertex at least that large as its smallest.
+* iter_clique_occurrences yields ascending tuples, so its first
+  occurrence is the minimum.
 """
 
 from __future__ import annotations
@@ -56,6 +71,45 @@ def _independent_subsets(g: Graph, pool: list[int], size: int) -> Iterator[tuple
             if all(z not in g.neighbors(c) for c in chosen):
                 yield from extend(chosen + (z,), i + 1)
     yield from extend((), 0)
+
+
+def _first_independent_subset(g: Graph, pool: set[int], size: int) -> tuple[int, ...] | None:
+    """Lexicographically first pairwise non-adjacent size-subset of pool, ascending."""
+    if size == 1:
+        return (min(pool),) if pool else None
+    rest = set(pool)
+    for z in sorted(pool):
+        rest.discard(z)
+        if len(rest) < size - 1:
+            return None
+        tail = _first_independent_subset(g, rest - g.neighbors(z), size - 1)
+        if tail is not None:
+            return (z,) + tail
+    return None
+
+
+def _first_sdiamond_occurrence(g: Graph, s: int,
+                               avoid_edges: frozenset | set | None) -> PatternOccurrence | None:
+    """min(iter_sdiamond_occurrences(g, s, avoid_edges), key=vertices), found directly."""
+    avoid = avoid_edges or ()
+    best: PatternOccurrence | None = None
+    for x, y in g.edges():
+        if (x, y) in avoid:
+            continue
+        common = g.neighbors(x) & g.neighbors(y)
+        if avoid:
+            common = {z for z in common
+                      if edge_key(x, z) not in avoid and edge_key(y, z) not in avoid}
+        if len(common) < s + 1:
+            continue
+        if best is not None and min(x, min(common)) > best.vertices[0]:
+            continue
+        group = _first_independent_subset(g, common, s + 1)
+        if group is not None:
+            occ = _sdiamond_occurrence(x, y, group, s)
+            if best is None or occ.vertices < best.vertices:
+                best = occ
+    return best
 
 
 def iter_sdiamond_occurrences(g: Graph, s: int,
@@ -109,16 +163,16 @@ def find_induced_occurrence(g: Graph, fam: FamilySpec,
 
     s-diamond items are searched before clique items; within an item the
     occurrence with the smallest sorted vertex tuple wins.  avoid_edges
-    restricts the search to occurrences edge-disjoint from that set.
+    restricts the search to occurrences edge-disjoint from that set.  The
+    answer equals the minimum over the iter_*_occurrences enumerators; see
+    the module docstring for why the shortcuts taken here are exact.
     """
     if fam.sdiamond is not None:
-        best = min(iter_sdiamond_occurrences(g, fam.sdiamond, avoid_edges),
-                   key=lambda o: o.vertices, default=None)
+        best = _first_sdiamond_occurrence(g, fam.sdiamond, avoid_edges)
         if best is not None:
             return best
     if fam.clique is not None:
-        return min(iter_clique_occurrences(g, fam.clique, avoid_edges),
-                   key=lambda o: o.vertices, default=None)
+        return next(iter_clique_occurrences(g, fam.clique, avoid_edges), None)
     return None
 
 
@@ -156,23 +210,27 @@ def is_core_member_edge(g: Graph, e: tuple[int, int], fam: FamilySpec) -> bool:
 
     A 4-vertex span with at least 5 edges is a diamond or a K4, and either
     way every one of its edges lies in a diamond subgraph, so the diamond
-    test reduces to edge counting over {x, y, a, b}.
+    test asks whether some {x, y, a, b} spans at least 5 edges.  Only one
+    of xa, xb, ya, yb, ab may be missing, and a vertex outside
+    C = N(x) & N(y) misses one of x, y.  So such a pair exists iff
+    |C| >= 2 (take a, b in C), or C = {a} and a has a neighbour b in
+    (N(x) | N(y)) - {x, y, a}.  That is an O(deg) test instead of a walk
+    over all pairs of the neighbourhood.
     """
     _require_core_family(fam)
     x, y = e
     if not g.has_edge(x, y):
         raise ValueError(f"edge {e} not in graph")
-    pool = sorted((g.neighbors(x) | g.neighbors(y)) - {x, y})
-    for a, b in combinations(pool, 2):
-        count = 1  # the edge xy itself
-        for p, q in ((x, a), (x, b), (y, a), (y, b), (a, b)):
-            if g.has_edge(p, q):
-                count += 1
-        if count >= 5:
+    nx, ny = g.neighbors(x), g.neighbors(y)
+    common = nx & ny
+    if len(common) >= 2:
+        return True
+    if common:
+        (a,) = common
+        if not g.neighbors(a).isdisjoint((nx | ny) - {x, y, a}):
             return True
     if fam.clique is not None:
-        common = sorted(g.neighbors(x) & g.neighbors(y))
-        if _has_clique_within(g, common, fam.clique - 2):
+        if _has_clique_within(g, sorted(common), fam.clique - 2):
             return True
     return False
 

@@ -358,8 +358,3 @@ def brute_force_vertex_deletion(g: Graph, mode: str, kmax: int,
                 if not _has_induced_star(g, alive, s):
                     return size
     return None
-
-
-def deletion_feasible(g: Graph, fam: FamilySpec, k: int, cap: int | None = None) -> bool:
-    """Convenience wrapper: does a deletion set of size <= k exist?"""
-    return brute_force_min_deletion(g, fam, k, cap) is not None

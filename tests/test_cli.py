@@ -9,7 +9,7 @@ from diamondkernel.errors import ParseError
 from diamondkernel.family import FamilySpec
 from diamondkernel.graph import Graph
 from diamondkernel.harness import verify_rule_safety
-from diamondkernel.io import parse_instance, serialize_instance
+from diamondkernel.io import MAX_VERTICES, parse_instance, serialize_instance
 from diamondkernel.phase1 import Instance
 
 from conftest import diamond_graph
@@ -132,6 +132,16 @@ def test_usage_error_exit(tmp_path, capsys):
     bad = write(tmp_path, "bad.txt", "p dfed 2 1 0 diamond\ne 0 0\n")
     assert main(["kernelize", "-i", bad]) == 2
     capsys.readouterr()
+
+
+def test_oversized_header_is_rejected(tmp_path, capsys):
+    # refused on the header line, before any vertex set is allocated
+    text = f"p dfed {MAX_VERTICES + 1} 0 0 diamond\n"
+    with pytest.raises(ParseError, match="exceeds the limit"):
+        parse_instance(text)
+    huge = write(tmp_path, "huge.txt", text)
+    assert main(["kernelize", "-i", huge]) == 2
+    assert "exceeds the limit" in capsys.readouterr().err
 
 
 def test_kernelize_rejects_unsupported_family(tmp_path, capsys):

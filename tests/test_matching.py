@@ -1,11 +1,13 @@
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from diamondkernel.graph import Graph
 from diamondkernel.matching import maximum_matching, maximum_non_matching_size
 
-from conftest import brute_force_matching_size, cycle_graph, path_graph, petersen_graph
+from conftest import (brute_force_matching_size, complete_graph, cycle_graph, path_graph,
+                      petersen_graph)
 
 
 def is_matching(g, edges):
@@ -69,6 +71,26 @@ def test_non_matching_equals_complement_matching(g):
     vs = g.vertex_set()
     comp = g.complement_restricted(vs)
     assert maximum_non_matching_size(g, vs) == brute_force_matching_size(comp)
+
+
+@pytest.mark.parametrize("g,expected", [
+    (complete_graph(5), 0),                                # no non-edge: greedy finds 0
+    (Graph.from_edges(4, [(0, 1), (2, 3)]), 2),            # greedy non-matching is perfect
+    # non-edges form the path 2-0-1-3: greedy pairs 0-1 only, Edmonds finds 2
+    (Graph.from_edges(4, [(0, 3), (1, 2), (2, 3)]), 2),
+])
+def test_non_matching_shortcut_cases(g, expected):
+    vs = g.vertex_set()
+    assert maximum_non_matching_size(g, vs) == expected
+    assert expected == brute_force_matching_size(g.complement_restricted(vs))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(10), st.data())
+def test_non_matching_equals_blossom_on_complement(g, data):
+    vs = data.draw(st.sets(st.sampled_from(g.vertices))) if g.n else set()
+    expected = len(maximum_matching(g.complement_restricted(vs)))
+    assert maximum_non_matching_size(g, vs) == expected
 
 
 def test_matching_deterministic():

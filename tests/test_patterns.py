@@ -9,7 +9,7 @@ from diamondkernel.graph import Graph, edge_key
 from diamondkernel.patterns import (clique_partition, find_induced_occurrence,
                                     greedy_packing, is_core_member_edge,
                                     is_core_member_vertex, is_family_free,
-                                    iter_sdiamond_occurrences)
+                                    iter_clique_occurrences, iter_sdiamond_occurrences)
 from diamondkernel.solver import has_induced_pattern_naive
 from diamondkernel.instances import gen_hard_structure
 
@@ -101,7 +101,44 @@ def test_occurrences_are_induced(g):
     assert len(occ.vertices) == 4 and len(occ.edges) == 5
 
 
+def enumerated_minimum(g, fam, avoid_edges):
+    """The reference answer: minimum over the full enumerators, s-diamonds first."""
+    best = None
+    if fam.sdiamond is not None:
+        best = min(iter_sdiamond_occurrences(g, fam.sdiamond, avoid_edges),
+                   key=lambda o: o.vertices, default=None)
+    if best is None and fam.clique is not None:
+        best = min(iter_clique_occurrences(g, fam.clique, avoid_edges),
+                   key=lambda o: o.vertices, default=None)
+    return best
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(9), st.data())
+def test_first_occurrence_equals_enumerated_minimum(g, data):
+    avoid = data.draw(st.sets(st.sampled_from(sorted(g.edges())))) if g.m else set()
+    for fam in (DIAMOND, FamilySpec.s_diamond(2), FamilySpec.diamond_kt(4),
+                FamilySpec(clique=4)):
+        for avoid_edges in (None, avoid):
+            assert find_induced_occurrence(g, fam, avoid_edges) == \
+                enumerated_minimum(g, fam, avoid_edges)
+
+
 # -- core membership -----------------------------------------------------------------
+
+def core_member_by_counting(g, e, fam):
+    """Some {x, y, a, b} spans >= 5 edges, or (with a clique item) e lies in a K_t."""
+    x, y = e
+    others = [v for v in g.vertices if v not in e]
+    for a, b in combinations(others, 2):
+        if sum(g.has_edge(p, q) for p, q in combinations((x, y, a, b), 2)) >= 5:
+            return True
+    if fam.clique is not None:
+        for rest in combinations(others, fam.clique - 2):
+            if all(g.has_edge(p, q) for p, q in combinations((x, y) + rest, 2)):
+                return True
+    return False
+
 
 def test_core_member_path_edge():
     assert not is_core_member_edge(path_graph(3), (0, 1), DIAMOND)
@@ -149,6 +186,15 @@ def test_core_member_requires_plain_diamond_family():
 def test_core_membership_equals_subgraph_isomorphism(g):
     for e in g.edges():
         assert is_core_member_edge(g, e, DIAMOND) == edge_in_diamond_subgraph(g, e)
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_graphs(9))
+def test_core_membership_equals_edge_counting(g):
+    for fam in (DIAMOND, FamilySpec(sdiamond=1, clique=3), FamilySpec.diamond_kt(4),
+                FamilySpec.diamond_kt(5)):
+        for e in g.edges():
+            assert is_core_member_edge(g, e, fam) == core_member_by_counting(g, e, fam)
 
 
 # -- greedy packing --------------------------------------------------------------------
