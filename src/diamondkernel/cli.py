@@ -6,7 +6,9 @@ are excluded), so a command repeated with the same flags and seed produces
 byte-identical instance files and the same digest.
 
 Exit codes: 0 success / feasible / kernelized, 10 decided-no / infeasible,
-2 usage or parse error, 3 size-guard refusal.
+2 usage or parse error, 3 size-guard refusal.  Arguments are range-checked
+by argparse, so any other exception is a fault of the program and ends the
+run with its traceback (exit 1).
 """
 
 from __future__ import annotations
@@ -107,7 +109,7 @@ def cmd_solve(args) -> int:
     inst, text = _read_instance(args.input)
     t0 = time.perf_counter()
     if args.engine == "branching":
-        sol = solve_branching(inst, use_packing_bound=args.packing_bound)
+        sol = solve_branching(inst)
         feasible, detail = sol.feasible, sol
     elif args.engine == "brute":
         best = brute_force_min_deletion(inst.graph, inst.family, inst.k, cap=args.cap)
@@ -129,14 +131,16 @@ def cmd_solve(args) -> int:
         "feasible": feasible,
         "timings": {"total": round(elapsed, 6)},
     }
-    if args.engine == "branching" and feasible:
-        edges = sorted(detail.delete_set)
-        report["delete_edges"] = [[u, v] for u, v in edges]
-        if args.verify:
-            h = inst.graph.copy()
-            for u, v in edges:
-                h.remove_edge(u, v)
-            report["verified_family_free"] = is_family_free(h, inst.family)
+    if args.engine == "branching":
+        report["nodes"] = detail.nodes
+        if feasible:
+            edges = sorted(detail.delete_set)
+            report["delete_edges"] = [[u, v] for u, v in edges]
+            if args.verify:
+                h = inst.graph.copy()
+                for u, v in edges:
+                    h.remove_edge(u, v)
+                report["verified_family_free"] = is_family_free(h, inst.family)
     if args.engine in ("brute", "brute-edit"):
         report["minimum"] = report_min
     _emit_report(report, args.report)
@@ -149,8 +153,7 @@ def cmd_generate(args) -> int:
         g = gen_gnp(args.n, args.p, args.seed)
         inst = Instance(g, args.k, FamilySpec.parse_token(args.family))
     elif args.generator == "planted":
-        sizes = [int(x) for x in args.sizes.split(",")]
-        inst = gen_planted_yes(clique_layout(sizes, args.glue), args.extra, args.seed)
+        inst = gen_planted_yes(clique_layout(args.sizes, args.glue), args.extra, args.seed)
     elif args.generator == "hard":
         inst = gen_hard_structure(args.k)
     else:  # reduce-vc
@@ -210,6 +213,30 @@ def cmd_bench(args) -> int:
 
 # -- argument parsing -------------------------------------------------------------
 
+# Argument types.  argparse turns an error raised in them, ValueError
+# included, into a usage error (exit 2), so the commands see only valid
+# values and a ValueError escaping a command is a fault of the program.
+
+def _probability(text: str) -> float:
+    p = float(text)
+    if not 0 <= p <= 1:
+        raise argparse.ArgumentTypeError(f"{text} is outside [0, 1]")
+    return p
+
+
+def _at_least(low: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below {low}")
+        return value
+    return integer
+
+
+def _int_list(text: str) -> list[int]:
+    return [int(x) for x in text.split(",")]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diamondkernel",
@@ -230,8 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="branching")
     p.add_argument("--verify", action="store_true",
                    help="re-check that the solution leaves a family-free graph")
-    p.add_argument("--packing-bound", action="store_true",
-                   help="prune branches via a greedy packing lower bound")
     p.add_argument("--cap", type=int, help="override the brute-force enumeration cap")
     p.add_argument("--report", help="write the JSON report here instead of stdout")
     p.set_defaults(func=cmd_solve)
@@ -240,28 +265,29 @@ def build_parser() -> argparse.ArgumentParser:
     gen = p.add_subparsers(dest="generator", required=True)
 
     q = gen.add_parser("gnp", help="Erdos-Renyi random instance")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--p", type=float, required=True)
-    q.add_argument("--k", type=int, default=3)
+    q.add_argument("--n", type=_at_least(0), required=True)
+    q.add_argument("--p", type=_probability, required=True)
+    q.add_argument("--k", type=_at_least(0), default=3)
     q.add_argument("--family", default="diamond")
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--out", "-o")
 
     q = gen.add_parser("planted", help="diamond-free clique base plus k extra edges")
-    q.add_argument("--sizes", required=True, help="comma-separated clique sizes, e.g. 4,4,4")
+    q.add_argument("--sizes", type=_int_list, required=True,
+                   help="comma-separated clique sizes, e.g. 4,4,4")
     q.add_argument("--glue", choices=("disjoint", "chain"), default="disjoint")
-    q.add_argument("--extra", type=int, required=True, help="extra edges = budget k")
+    q.add_argument("--extra", type=_at_least(0), required=True, help="extra edges = budget k")
     q.add_argument("--seed", type=int, default=0)
     q.add_argument("--out", "-o")
 
     q = gen.add_parser("hard", help="the structure no reduction rule can shrink")
-    q.add_argument("--k", type=int, required=True)
+    q.add_argument("--k", type=_at_least(2), required=True)
     q.add_argument("--out", "-o")
 
     q = gen.add_parser("reduce-vc", help="reduce a vertex-cover instance file")
     q.add_argument("--input", "-i", required=True,
                    help="instance file whose graph and k form the vertex-cover instance")
-    q.add_argument("--s", type=int, default=1, help="target s-diamond family")
+    q.add_argument("--s", type=_at_least(1), default=1, help="target s-diamond family")
     q.add_argument("--out", "-o", help="also writes <out>.trace.json")
     p.set_defaults(func=cmd_generate)
 
@@ -295,7 +321,7 @@ def main(argv=None) -> int:
     except GuardError as exc:
         print(f"guard refusal: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (ParseError, DescriptorError, FamilyError, ValueError) as exc:
+    except (ParseError, DescriptorError, FamilyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FileNotFoundError as exc:

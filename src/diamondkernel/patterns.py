@@ -249,7 +249,8 @@ def is_core_member_vertex(g: Graph, v: int, fam: FamilySpec) -> bool:
 
 @dataclass
 class PackingResult:
-    """Either budget_exceeded (k+1 disjoint occurrences found), or a maximal packing."""
+    """Either budget_exceeded (k+1 occurrences with disjoint unfixed edges
+    found, or one with no unfixed edge), or a maximal packing."""
 
     budget_exceeded: bool
     packing_edges: set[tuple[int, int]] = field(default_factory=set)
@@ -265,13 +266,22 @@ def max_edges_per_occurrence(fam: FamilySpec) -> int:
     return worst
 
 
-def greedy_packing(g: Graph, k: int, fam: FamilySpec) -> PackingResult:
-    """Pack pairwise edge-disjoint induced occurrences of fam in g.
+def greedy_packing(g: Graph, k: int, fam: FamilySpec,
+                   fixed: frozenset | set | None = None,
+                   first: PatternOccurrence | None = None) -> PackingResult:
+    """Pack induced occurrences of fam in g with pairwise disjoint unfixed edges.
+
+    fixed is a set of edges that may not be deleted; occurrences may share
+    fixed edges, and only unfixed edges enter packing_edges, the avoid set
+    of the next search.  An occurrence with only fixed edges can never be
+    hit, so finding one stops with budget_exceeded.  first, when given, must
+    be find_induced_occurrence(g, fam), and saves that search.  With
+    neither argument every edge is unfixed and the packing is edge-disjoint.
 
     Each iteration takes the lexicographically first induced occurrence of
-    g that shares no edge with the packing so far.  Stops with
-    budget_exceeded as soon as k+1 occurrences are packed; otherwise the
-    packing is maximal, so every induced occurrence of g intersects it.
+    g that shares no edge with packing_edges.  Stops with budget_exceeded
+    as soon as k+1 occurrences are packed; otherwise the packing is
+    maximal, so every induced occurrence of g intersects packing_edges.
 
     Note the candidates are induced occurrences of g itself, not of the
     edge-deleted remainder: an induced diamond of g - X whose missing pair
@@ -279,17 +289,17 @@ def greedy_packing(g: Graph, k: int, fam: FamilySpec) -> PackingResult:
     touch it, so counting it toward the k+1 threshold would flip yes
     instances to no.
     """
-    fam.require_kernelizable()
+    fixed = fixed or ()
     packing_edges: set[tuple[int, int]] = set()
     occurrences: list[PatternOccurrence] = []
-    while True:
-        occ = find_induced_occurrence(g, fam, avoid_edges=packing_edges)
-        if occ is None:
-            break
+    occ = first if first is not None else find_induced_occurrence(g, fam)
+    while occ is not None:
         occurrences.append(occ)
-        packing_edges |= occ.edges
-        if len(occurrences) >= k + 1:
-            return PackingResult(True, packing_edges, occurrences)
+        unfixed = occ.edges.difference(fixed)
+        if not unfixed or len(occurrences) >= k + 1:
+            return PackingResult(True, packing_edges | unfixed, occurrences)
+        packing_edges |= unfixed
+        occ = find_induced_occurrence(g, fam, avoid_edges=packing_edges)
     result = PackingResult(False, packing_edges, occurrences)
     debug_check(len(packing_edges) <= max_edges_per_occurrence(fam) * max(k, 0),
                 "packing edge count exceeds the per-occurrence bound")

@@ -1,7 +1,11 @@
 """Exact solvers and brute-force oracles.
 
-The branching solver is the practical exact engine; the brute-force
-functions are the ground truth everything else is measured against.  The
+The branching solver is the practical exact engine: a bounded search tree
+(Cai 1996) pruned by forbidden-edge marking (Gramm, Guo, Hueffner and
+Niedermeier 2005) and by a packing lower bound that respects the marked
+edges.  Neither pruning changes the deletion set it returns; see
+solve_branching.  The brute-force functions are the ground truth
+everything else is measured against.  The
 oracles never call the pattern detector: they precompute, for every vertex
 subset that could host a pattern, a bitmask over edge (or pair) indices,
 and decide feasibility by mask arithmetic alone.  That keeps them
@@ -12,7 +16,7 @@ enough to sweep thousands of desk-scale instances.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
@@ -47,19 +51,23 @@ def _check_guard(universe: int, kmax: int, cap: int | None) -> None:
 
 @dataclass(frozen=True)
 class Solution:
+    """A deletion set, or None when infeasible; nodes counts the search
+    nodes that produced it and takes no part in equality."""
+
     delete_set: frozenset[tuple[int, int]] | None
+    nodes: int = field(default=0, compare=False)
 
     @property
     def feasible(self) -> bool:
         return self.delete_set is not None
 
     @classmethod
-    def infeasible(cls) -> "Solution":
-        return cls(None)
+    def infeasible(cls, nodes: int = 0) -> "Solution":
+        return cls(None, nodes)
 
     @classmethod
-    def of(cls, edges) -> "Solution":
-        return cls(frozenset(edges))
+    def of(cls, edges, nodes: int = 0) -> "Solution":
+        return cls(frozenset(edges), nodes)
 
 
 @dataclass(frozen=True)
@@ -78,13 +86,31 @@ class EditSolution:
 
 # -- branching solver ---------------------------------------------------------
 
-def solve_branching(inst: Instance, use_packing_bound: bool = False) -> Solution:
-    """Depth-first branching: pick the first induced occurrence and branch on
-    deleting each of its edges.
+def solve_branching(inst: Instance) -> Solution:
+    """Depth-first branching: take the first induced occurrence and branch on
+    deleting each of its unfixed edges, in canonical edge order.
 
-    Complete because every solution must remove at least one edge of every
-    induced occurrence.  Branch order follows the canonical edge order of
-    the occurrence, so runs are deterministic.
+    Complete because every solution removes at least one edge of every
+    induced occurrence.  Two prunings cut the tree without changing the
+    deletion set returned, which is the first solution in branch order:
+
+    * Forbidden-edge marking.  Once the branch deleting e has failed, e is
+      fixed (never deleted) in the sibling branches after it and in their
+      subtrees; the mark is lifted when the node returns.  A solution
+      below a later sibling that deleted e would, without e, solve the
+      failed branch within its budget, so the earlier branch would have
+      found it: marking prunes only subtrees whose solutions the search
+      already ruled out, and it never prunes the first solution.
+    * Packing bound, at every node with budget > 0 and for every family.
+      A solution must delete an unfixed edge of every induced occurrence,
+      so a node fails when an occurrence has only fixed edges, or when
+      budget + 1 occurrences have pairwise disjoint unfixed edges
+      (greedy_packing with fixed and first).  Such a node holds no
+      solution, so the first solution is again untouched.
+
+    Each node makes exactly one occurrence search through this module's
+    find_induced_occurrence; the packing searches go through patterns.
+    The returned Solution carries the node count.
     """
     if inst.k < 0:
         return Solution.infeasible()
@@ -92,19 +118,20 @@ def solve_branching(inst: Instance, use_packing_bound: bool = False) -> Solution
     fam = inst.family
     branch_cap = max_edges_per_occurrence(fam)
     deleted: list[tuple[int, int]] = []
+    fixed: set[tuple[int, int]] = set()
+    nodes = 0
 
     def dfs(budget: int) -> bool:
+        nonlocal nodes
+        nodes += 1
         occ = find_induced_occurrence(g, fam)
         if occ is None:
             return True
         if budget == 0:
             return False
-        if use_packing_bound and fam.kernelizable():
-            # more than `budget` edge-disjoint occurrences need more than
-            # `budget` deletions
-            if greedy_packing(g, budget, fam).budget_exceeded:
-                return False
-        edges = sorted(occ.edges)
+        if greedy_packing(g, budget, fam, fixed=fixed, first=occ).budget_exceeded:
+            return False
+        edges = sorted(occ.edges - fixed)
         debug_check(len(edges) <= branch_cap, "branching factor above the family bound")
         for e in edges:
             g.remove_edge(*e)
@@ -113,11 +140,13 @@ def solve_branching(inst: Instance, use_packing_bound: bool = False) -> Solution
                 return True
             g.add_edge(*e)
             deleted.pop()
+            fixed.add(e)
+        fixed.difference_update(edges)
         return False
 
     if dfs(inst.k):
-        return Solution.of(deleted)
-    return Solution.infeasible()
+        return Solution.of(deleted, nodes)
+    return Solution.infeasible(nodes)
 
 
 # -- pattern windows: bitmask tables for the brute-force oracles --------------

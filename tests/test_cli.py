@@ -103,6 +103,7 @@ def test_solve_exit_codes(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["feasible"] and len(report["delete_edges"]) == 1
     assert report["verified_family_free"]
+    assert report["nodes"] == 2   # the diamond, then the graph left by one deletion
 
     zero = write(tmp_path, "d0.txt", DIAMOND_FILE.replace("4 5 1", "4 5 0"))
     assert main(["solve", "-i", zero]) == 10
@@ -132,6 +133,21 @@ def test_usage_error_exit(tmp_path, capsys):
     bad = write(tmp_path, "bad.txt", "p dfed 2 1 0 diamond\ne 0 0\n")
     assert main(["kernelize", "-i", bad]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv,fragment", [
+    (["generate", "gnp", "--n", "5", "--p", "1.5"], "argument --p: 1.5 is outside [0, 1]"),
+    (["generate", "gnp", "--n", "5", "--p", "0.5", "--k", "-1"], "argument --k: -1 is below 0"),
+    (["generate", "gnp", "--n", "-2", "--p", "0.5"], "argument --n: -2 is below 0"),
+    (["generate", "planted", "--sizes", "3", "--extra", "-1"], "argument --extra: -1 is below 0"),
+    (["generate", "hard", "--k", "1"], "argument --k: 1 is below 2"),
+    (["generate", "reduce-vc", "-i", "unused.txt", "--s", "0"], "argument --s: 0 is below 1"),
+])
+def test_out_of_range_arguments_are_usage_errors(argv, fragment, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert fragment in capsys.readouterr().err
 
 
 def test_oversized_header_is_rejected(tmp_path, capsys):

@@ -239,6 +239,47 @@ def test_packing_properties(g, k):
             assert occ.edges & res.packing_edges
 
 
+def test_packing_all_fixed_occurrence_exceeds():
+    # an occurrence that no solution may hit rules out every budget
+    fixed = diamond_graph().edge_set()
+    res = greedy_packing(diamond_graph(), 3, DIAMOND, fixed=fixed)
+    assert res.budget_exceeded and len(res.occurrences) == 1
+
+
+def test_packing_shared_fixed_edges_count_as_disjoint():
+    # six diamonds share the middle edge 1-2; with it fixed, {0, 3} and {4, 5}
+    # give two occurrences whose unfixed edges are disjoint
+    g = Graph.from_edges(6, [(1, 2)] + [(v, c) for v in (1, 2) for c in (0, 3, 4, 5)])
+    assert not greedy_packing(g, 1, DIAMOND).budget_exceeded
+    res = greedy_packing(g, 1, DIAMOND, fixed={(1, 2)})
+    assert res.budget_exceeded
+    assert [occ.vertices for occ in res.occurrences] == [(0, 1, 2, 3), (1, 2, 4, 5)]
+    assert (1, 2) not in res.packing_edges
+
+
+def _edge_disjoint_packing(g, k, fam):
+    """The packing loop without fixed edges: take the first occurrence edge-
+    disjoint from those packed until k+1 are packed or none is left."""
+    edges, occurrences = set(), []
+    while (occ := find_induced_occurrence(g, fam, avoid_edges=edges)) is not None:
+        occurrences.append(occ)
+        edges |= occ.edges
+        if len(occurrences) >= k + 1:
+            return True, edges, occurrences
+    return False, edges, occurrences
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs(8), st.integers(0, 3))
+def test_packing_defaults_are_edge_disjoint_packing(g, k):
+    for fam in (DIAMOND, FamilySpec.s_diamond(2), FamilySpec.diamond_kt(4)):
+        expected = _edge_disjoint_packing(g, k, fam)
+        first = find_induced_occurrence(g, fam)
+        for res in (greedy_packing(g, k, fam),
+                    greedy_packing(g, k, fam, fixed=set(), first=first)):
+            assert (res.budget_exceeded, res.packing_edges, res.occurrences) == expected
+
+
 # -- clique partitioning ----------------------------------------------------------------
 
 def test_partition_two_triangles_sharing_vertex():

@@ -3,14 +3,16 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from diamondkernel import solver
 from diamondkernel.errors import GuardError
 from diamondkernel.family import FamilySpec
 from diamondkernel.graph import Graph
 from diamondkernel.phase1 import Instance
-from diamondkernel.patterns import is_family_free
-from diamondkernel.solver import (brute_force_editing_solution, brute_force_min_deletion,
-                                  brute_force_min_editing, brute_force_vertex_deletion,
-                                  solve_branching)
+from diamondkernel.instances import reduce_vc_to_sdfed
+from diamondkernel.patterns import find_induced_occurrence, is_family_free
+from diamondkernel.solver import (Solution, brute_force_editing_solution,
+                                  brute_force_min_deletion, brute_force_min_editing,
+                                  brute_force_vertex_deletion, solve_branching)
 
 from conftest import complete_graph, cycle_graph, diamond_graph, editing_feasible, path_graph
 
@@ -49,11 +51,57 @@ def test_branching_negative_budget():
 
 
 def test_branching_packing_bound_agrees():
-    for k in range(0, 4):
-        plain = solve_branching(Instance(diamond_graph(), k, DIAMOND))
-        pruned = solve_branching(Instance(diamond_graph(), k, DIAMOND),
-                                 use_packing_bound=True)
-        assert plain.feasible == pruned.feasible
+    # pruning is always on: one diamond needs exactly one deletion
+    answers = [solve_branching(Instance(diamond_graph(), k, DIAMOND)).feasible
+               for k in range(4)]
+    assert answers == [False, True, True, True]
+
+
+def test_branching_node_count_regression(monkeypatch):
+    # triangle plus a disjoint edge has vertex cover 2, so k0 = 2 reduces to a
+    # no-instance at k = 6 that the unpruned search settles in 19,531 nodes
+    g0 = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
+    inst, _ = reduce_vc_to_sdfed(g0, 2)
+    assert inst.k == 6
+    searches = []
+    real = solver.find_induced_occurrence
+    monkeypatch.setattr(solver, "find_induced_occurrence",
+                        lambda g, fam: searches.append(1) or real(g, fam))
+    sol = solve_branching(inst)
+    assert not sol.feasible
+    assert sol.nodes == len(searches) <= 1_000
+
+
+def _unpruned_deletion_set(g: Graph, fam: FamilySpec, k: int):
+    """Plain depth-first branching on every edge of the first occurrence."""
+    g = g.copy()
+    deleted = []
+
+    def dfs(budget):
+        occ = find_induced_occurrence(g, fam)
+        if occ is None:
+            return True
+        if budget == 0:
+            return False
+        for e in sorted(occ.edges):
+            g.remove_edge(*e)
+            deleted.append(e)
+            if dfs(budget - 1):
+                return True
+            g.add_edge(*e)
+            deleted.pop()
+        return False
+
+    return frozenset(deleted) if dfs(k) else None
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs(9), st.integers(0, 4))
+def test_branching_returns_unpruned_deletion_set(g, k):
+    for fam in (DIAMOND, FamilySpec.s_diamond(2), FamilySpec.diamond_kt(4)):
+        sol = solve_branching(Instance(g.copy(), k, fam))
+        # nodes takes no part in equality
+        assert sol == Solution(_unpruned_deletion_set(g, fam, k))
 
 
 @settings(max_examples=60, deadline=None)
