@@ -1,9 +1,8 @@
 """Each reduction rule firing on the smallest graph that triggers it."""
 
 from diamondkernel import FamilySpec, Graph, Instance, run_phase1
-from diamondkernel.phase1 import (SplitProvenance, rule_irrelevant_component,
-                                  rule_irrelevant_edge, rule_sunflower,
-                                  rule_vertex_split)
+from diamondkernel.phase1 import (rule_irrelevant_component, rule_irrelevant_edge,
+                                  rule_sunflower, rule_vertex_split)
 
 DIAMOND = FamilySpec.diamond()
 
@@ -29,10 +28,10 @@ print("deleted:", rule_sunflower(inst), "| budget now", inst.k)
 # split into one clone per neighborhood component.
 g = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
 inst = show("vertex split at the bowtie center", g)
-prov = SplitProvenance()
-print("split vertex:", rule_vertex_split(inst, prov))
+v, pieces = rule_vertex_split(inst)
+print("split vertex:", v)
 print("components now:", inst.graph.connected_components())
-print("provenance:", dict(prov.origins))
+print("provenance:", {new_id: sorted(component) for new_id, component in pieces})
 
 # A component with no induced diamond cannot interact with the budget.
 g = Graph.from_edges(7, [(0, 1), (0, 2), (1, 2),
@@ -43,6 +42,6 @@ print("deleted component:", sorted(rule_irrelevant_component(inst)))
 # The driver runs all four to a fixpoint and logs every firing.
 g = Graph.from_edges(8, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4), (5, 6), (6, 7)])
 inst = show("full phase-1 driver", g, k=2)
-_, _, log = run_phase1(inst)
+_, log = run_phase1(inst)
 print("firings:", log.counts())
 print("fixpoint:", f"n={inst.graph.n}, m={inst.graph.m}, k={inst.k}")

@@ -6,11 +6,11 @@ from .matching import maximum_matching
 from .patterns import (PatternOccurrence, clique_partition, find_induced_occurrence,
                        greedy_packing, is_core_member_edge, is_core_member_vertex,
                        is_family_free)
-from .phase1 import Instance, RuleLog, SplitProvenance, run_phase1
+from .phase1 import Instance, RuleLog, run_phase1
 from .phase2 import (CliqueContext, KernelOutcome, KernelReport, Modulator,
                      classify_clique, compute_modulator, dfed_vertex_bound,
                      dkt_vertex_bound, kernel_vertex_bound, kernelize,
-                     kernelize_dfed, kernelize_dkt, rule_clique_reduction)
+                     rule_clique_reduction)
 from .solver import (EditSolution, Solution, brute_force_editing_solution,
                      brute_force_min_deletion, brute_force_min_editing,
                      brute_force_vertex_deletion, solve_branching)
@@ -26,11 +26,11 @@ __all__ = [
     "PatternOccurrence", "clique_partition", "find_induced_occurrence",
     "greedy_packing", "is_core_member_edge", "is_core_member_vertex",
     "is_family_free",
-    "Instance", "RuleLog", "SplitProvenance", "run_phase1",
+    "Instance", "RuleLog", "run_phase1",
     "CliqueContext", "KernelOutcome", "KernelReport", "Modulator",
     "classify_clique", "compute_modulator", "dfed_vertex_bound",
     "dkt_vertex_bound", "kernel_vertex_bound", "kernelize",
-    "kernelize_dfed", "kernelize_dkt", "rule_clique_reduction",
+    "rule_clique_reduction",
     "EditSolution", "Solution", "brute_force_editing_solution",
     "brute_force_min_deletion", "brute_force_min_editing",
     "brute_force_vertex_deletion", "solve_branching",

@@ -29,8 +29,7 @@ from .instances import (clique_layout, gen_gnp, gen_hard_structure, gen_planted_
 from .io import parse_instance, serialize_instance
 from .phase1 import Instance
 from .phase2 import kernelize
-from .solver import (Solution, brute_force_min_deletion, brute_force_min_editing,
-                     solve_branching)
+from .solver import brute_force_min_deletion, brute_force_min_editing, solve_branching
 from .patterns import is_family_free
 
 SCHEMA_VERSION = 1
@@ -110,17 +109,11 @@ def cmd_solve(args) -> int:
     t0 = time.perf_counter()
     if args.engine == "branching":
         sol = solve_branching(inst)
-        feasible, detail = sol.feasible, sol
-    elif args.engine == "brute":
-        best = brute_force_min_deletion(inst.graph, inst.family, inst.k, cap=args.cap)
+        feasible = sol.feasible
+    else:
+        brute = brute_force_min_deletion if args.engine == "brute" else brute_force_min_editing
+        best = brute(inst.graph, inst.family, inst.k, cap=args.cap)
         feasible = best is not None
-        detail = Solution.infeasible() if best is None else None
-        report_min = best
-    else:  # brute-edit
-        best = brute_force_min_editing(inst.graph, inst.family, inst.k, cap=args.cap)
-        feasible = best is not None
-        detail = None
-        report_min = best
     elapsed = time.perf_counter() - t0
 
     report = {
@@ -132,17 +125,17 @@ def cmd_solve(args) -> int:
         "timings": {"total": round(elapsed, 6)},
     }
     if args.engine == "branching":
-        report["nodes"] = detail.nodes
+        report["nodes"] = sol.nodes
         if feasible:
-            edges = sorted(detail.delete_set)
+            edges = sorted(sol.delete_set)
             report["delete_edges"] = [[u, v] for u, v in edges]
             if args.verify:
                 h = inst.graph.copy()
                 for u, v in edges:
                     h.remove_edge(u, v)
                 report["verified_family_free"] = is_family_free(h, inst.family)
-    if args.engine in ("brute", "brute-edit"):
-        report["minimum"] = report_min
+    else:
+        report["minimum"] = best
     _emit_report(report, args.report)
     return EXIT_OK if feasible else EXIT_NO
 
@@ -257,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="branching")
     p.add_argument("--verify", action="store_true",
                    help="re-check that the solution leaves a family-free graph")
-    p.add_argument("--cap", type=int, help="override the brute-force enumeration cap")
+    p.add_argument("--cap", type=_at_least(0), help="override the brute-force enumeration cap")
     p.add_argument("--report", help="write the JSON report here instead of stdout")
     p.set_defaults(func=cmd_solve)
 
@@ -292,15 +285,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("verify", help="seeded rule-safety verification against brute force")
-    p.add_argument("--trials", type=int, default=200)
-    p.add_argument("--max-n", type=int, default=8)
+    p.add_argument("--trials", type=_at_least(1), default=200)
+    p.add_argument("--max-n", type=_at_least(0), default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--family", default="diamond")
     p.add_argument("--solver", action="store_true",
                    help="also cross-check the branching solver at every budget")
     p.add_argument("--allow-large", action="store_true",
                    help="waive the max-n <= 9 desk-scale guard")
-    p.add_argument("--cap", type=int, help="override the brute-force enumeration cap")
+    p.add_argument("--cap", type=_at_least(0), help="override the brute-force enumeration cap")
     p.add_argument("--report", help="write the JSON report here instead of stdout")
     p.set_defaults(func=cmd_verify)
 

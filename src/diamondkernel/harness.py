@@ -14,12 +14,11 @@ import time
 from dataclasses import dataclass, field
 
 from .family import FamilySpec
-from .graph import Graph
 from .instances import clique_layout, gen_gnp, gen_hard_structure, gen_planted_yes
 from .phase1 import (Instance, rule_irrelevant_component, rule_irrelevant_edge,
                      rule_sunflower, rule_vertex_split, run_phase1,
                      phase1_fixpoint_properties)
-from .phase2 import kernel_vertex_bound, kernelize
+from .phase2 import kernelize
 from .solver import brute_force_min_deletion, solve_branching
 
 RULES = (
@@ -28,12 +27,6 @@ RULES = (
     ("vertex_split", rule_vertex_split),
     ("irrelevant_component", rule_irrelevant_component),
 )
-
-
-def oracle_feasible(g: Graph, fam: FamilySpec, k: int, cap: int | None = None) -> bool:
-    if k < 0:
-        return False
-    return brute_force_min_deletion(g, fam, k, cap=cap) is not None
 
 
 @dataclass
@@ -72,7 +65,7 @@ def verify_rule_safety(trials: int, max_n: int, seed: int, family: FamilySpec,
     for trial in range(trials):
         inst = sample_instance(rng, max_n, family, k_max=k_max)
         g, k = inst.graph, inst.k
-        before = oracle_feasible(g, family, k, cap=oracle_cap)
+        before = brute_force_min_deletion(g, family, k, cap=oracle_cap) is not None
         context = {"trial": trial, "n": g.n, "edges": sorted(g.edges()), "k": k,
                    "family": family.token()}
         for name, rule in RULES:
@@ -80,7 +73,8 @@ def verify_rule_safety(trials: int, max_n: int, seed: int, family: FamilySpec,
             outcome = rule(probe)
             if outcome is None:
                 continue
-            after = oracle_feasible(probe.graph, family, probe.k, cap=oracle_cap)
+            after = brute_force_min_deletion(probe.graph, family, probe.k,
+                                             cap=oracle_cap) is not None
             rules[name].record(after == before, {**context, "rule": name})
 
         probe = inst.copy()
@@ -96,14 +90,16 @@ def verify_rule_safety(trials: int, max_n: int, seed: int, family: FamilySpec,
             after = False
         else:
             kernel = outcome.kernel
-            after = oracle_feasible(kernel.graph, family, kernel.k, cap=oracle_cap)
+            after = brute_force_min_deletion(kernel.graph, family, kernel.k,
+                                             cap=oracle_cap) is not None
             bound_checks.record(bool(outcome.report.bound_ok), context)
         kernel_checks.record(after == before, context)
 
         if check_solver:
             for budget in range(0, k_max + 1):
                 sol = solve_branching(Instance(g.copy(), budget, family))
-                expected = oracle_feasible(g, family, budget, cap=oracle_cap)
+                expected = brute_force_min_deletion(g, family, budget,
+                                                    cap=oracle_cap) is not None
                 solver_checks.record(sol.feasible == expected, {**context, "k": budget})
 
     sections = {"rules": {name: vars_of(c) for name, c in rules.items()},
@@ -165,7 +161,7 @@ def run_bench(seed: int, **corpus_kwargs) -> dict:
         if not outcome.decided_no:
             kern = outcome.kernel
             row.update(kernel_n=kern.graph.n, kernel_m=kern.graph.m, kernel_k=kern.k,
-                       vertex_bound=kernel_vertex_bound(kern.k, kern.family),
+                       vertex_bound=outcome.report.vertex_bound,
                        bound_ok=bool(outcome.report.bound_ok))
             if not outcome.report.bound_ok:
                 violations += 1

@@ -115,7 +115,12 @@ class Stage:
 @dataclass
 class ReductionTrace:
     """Per-stage bookkeeping sufficient to pull a solution of the final
-    instance back to a vertex cover of the original graph."""
+    instance back to a vertex cover of the original graph.
+
+    Each stage keeps one graph copy, the one a reader needs: subdivide its
+    input (the original graph lift_solution covers), stars its output, and
+    universal its output (the reduced graph a solution is checked on).  The
+    other copies would repeat the neighbouring stage's graph."""
 
     stages: list[Stage] = field(default_factory=list)
 
@@ -155,8 +160,7 @@ def subdivide_twice(g: Graph, k: int) -> tuple[Graph, int, ReductionTrace]:
         out.add_edge(x2, v)
         interior[(u, v)] = (x1, x2)
     trace = ReductionTrace([Stage("subdivide", {
-        "graph_before": g.copy(), "graph_after": out.copy(),
-        "interior": interior, "k_offset": g.m})])
+        "graph_before": g.copy(), "interior": interior, "k_offset": g.m})])
     return out, k + g.m, trace
 
 
@@ -175,8 +179,7 @@ def attach_stars(g: Graph, leaves_per_vertex: int) -> tuple[Graph, ReductionTrac
             out.add_edge(v, leaf)
             added.append(leaf)
         leaves[v] = tuple(added)
-    trace = ReductionTrace([Stage("stars", {
-        "graph_before": g.copy(), "graph_after": out.copy(), "leaves": leaves})])
+    trace = ReductionTrace([Stage("stars", {"graph_after": out.copy(), "leaves": leaves})])
     return out, trace
 
 
@@ -192,8 +195,7 @@ def add_universal(g: Graph) -> tuple[Graph, ReductionTrace]:
     w = out.add_vertex()
     for v in g.vertices:
         out.add_edge(w, v)
-    trace = ReductionTrace([Stage("universal", {
-        "graph_before": g.copy(), "graph_after": out.copy(), "w": w})])
+    trace = ReductionTrace([Stage("universal", {"graph_after": out.copy(), "w": w})])
     return out, trace
 
 

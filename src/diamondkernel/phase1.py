@@ -36,18 +36,6 @@ class Instance:
         return Instance(self.graph.copy(), self.k, self.family)
 
 
-@dataclass
-class SplitProvenance:
-    """new vertex id -> (original vertex id, neighborhood component it serves)."""
-
-    origins: dict[int, tuple[int, frozenset[int]]] = field(default_factory=dict)
-
-    def record(self, new_id: int, original: int, component: frozenset[int]) -> None:
-        if new_id in self.origins:
-            raise ValueError(f"split vertex {new_id} recorded twice")
-        self.origins[new_id] = (original, component)
-
-
 @dataclass(frozen=True)
 class RuleEvent:
     rule: str
@@ -129,26 +117,28 @@ def rule_sunflower(inst: Instance) -> tuple[int, int] | None:
     return None
 
 
-def rule_vertex_split(inst: Instance, prov: SplitProvenance | None = None) -> int | None:
+def rule_vertex_split(inst: Instance) -> tuple[int, tuple[tuple[int, frozenset[int]], ...]] | None:
     """Split the smallest vertex whose neighborhood is disconnected.
 
     One fresh vertex per neighborhood component, adjacent exactly to that
     component; fresh ids are handed out in component order (component with
-    the smallest member first).  Returns the split vertex.
+    the smallest member first).  Returns the split vertex and its provenance,
+    one (new id, component it serves) pair per fresh vertex: the data of
+    the vertex_split event that replay re-applies.
     """
     g = inst.graph
     for v in g.vertices:
         components = g.neighborhood_components(v)
         if len(components) < 2:
             continue
+        pieces = []
         for component in components:
             new_id = g.add_vertex()
             for u in component:
                 g.add_edge(new_id, u)
-            if prov is not None:
-                prov.record(new_id, v, frozenset(component))
+            pieces.append((new_id, frozenset(component)))
         g.remove_vertex(v)
-        return v
+        return v, tuple(pieces)
     return None
 
 
@@ -164,10 +154,10 @@ def rule_irrelevant_component(inst: Instance) -> set[int] | None:
 
 # -- fixpoint driver ---------------------------------------------------------
 
-def run_phase1(inst: Instance) -> tuple[Instance, SplitProvenance, RuleLog]:
-    """Exhaustively apply the four rules; mutates and returns inst."""
+def run_phase1(inst: Instance) -> tuple[Instance, RuleLog]:
+    """Exhaustively apply the four rules; mutates and returns inst with the
+    log of every firing, split provenance included."""
     inst.family.require_kernelizable()
-    prov = SplitProvenance()
     log = RuleLog()
     edges_in = inst.graph.m
     while True:
@@ -182,12 +172,9 @@ def run_phase1(inst: Instance) -> tuple[Instance, SplitProvenance, RuleLog]:
         if e is not None:
             log.append("sunflower", (e,), k_before, inst.k)
             continue
-        recorded = len(prov.origins)
-        v = rule_vertex_split(inst, prov)
-        if v is not None:
-            pieces = tuple((new_id, component)
-                           for new_id, (_, component) in list(prov.origins.items())[recorded:])
-            log.append("vertex_split", (v, pieces), k_before, inst.k)
+        split = rule_vertex_split(inst)
+        if split is not None:
+            log.append("vertex_split", split, k_before, inst.k)
             continue
         comp = rule_irrelevant_component(inst)
         if comp is not None:
@@ -195,7 +182,7 @@ def run_phase1(inst: Instance) -> tuple[Instance, SplitProvenance, RuleLog]:
             continue
         break
     debug_check(inst.graph.m <= edges_in, "phase 1 increased the edge count")
-    return inst, prov, log
+    return inst, log
 
 
 def phase1_fixpoint_properties(inst: Instance) -> list[str]:

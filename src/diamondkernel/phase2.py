@@ -1,5 +1,6 @@
 """Second reduction phase: packing-based modulator, clique-context
-classification, the clique-reduction rule, and the end-to-end kernelizers.
+classification, the clique-reduction rule, and the kernelization pipeline
+shared by both kernelizable families (kernelize).
 
 Kernel-size constants, written out from the counting arguments over the
 modulator (packing of at most k occurrences, sunflower threshold 2k+1,
@@ -27,7 +28,7 @@ from .errors import FamilyError, InvariantError
 from .family import FamilySpec
 from .graph import Graph
 from .patterns import clique_partition, greedy_packing, max_edges_per_occurrence
-from .phase1 import Instance, RuleLog, SplitProvenance, run_phase1
+from .phase1 import Instance, RuleLog, run_phase1
 
 
 # -- size bounds ---------------------------------------------------------------
@@ -260,7 +261,6 @@ class KernelOutcome:
     decided_no: bool
     instance: Instance | None
     report: KernelReport
-    provenance: SplitProvenance | None = None
     log: RuleLog | None = None
 
     @property
@@ -270,106 +270,63 @@ class KernelOutcome:
         return self.instance
 
 
-def _decided_no(report: KernelReport) -> KernelOutcome:
-    return KernelOutcome(True, None, report)
-
-
-def kernelize_dfed(inst: Instance) -> KernelOutcome:
-    """Full kernelization for the pure diamond family.
-
-    Phase 1 to a fixpoint, packing-based modulator (declaring no when the
-    packing exceeds the budget), then exhaustive clique reduction.  The
-    result has at most 152k^3 + 70k^2 + 7k vertices and an unchanged or
-    smaller budget.
-    """
-    if inst.family.sdiamond != 1 or inst.family.clique is not None:
-        raise FamilyError("kernelize_dfed handles the pure diamond family only")
-    report = KernelReport()
-    report.record_stage("input", inst)
-    if inst.k < 0:
-        return _decided_no(report)
-    t0 = time.perf_counter()
-    inst, prov, log = run_phase1(inst)
-    report.wall_times["phase1"] = time.perf_counter() - t0
-    report.rule_firings = log.counts()
-    report.record_stage("phase1", inst)
-    if inst.k < 0:
-        return _decided_no(report)
-
-    t0 = time.perf_counter()
-    mod = compute_modulator(inst)
-    report.wall_times["modulator"] = time.perf_counter() - t0
-    if mod is None:
-        return _decided_no(report)
-    report.packing_edge_count = len(mod.packing_edges)
-    report.modulator_size = len(mod.vertices)
-    report.clique_count = len(mod.cliques)
-    if debug_assertions_enabled():
-        for clique in mod.cliques:
-            _fixpoint_context_checks(classify_clique(inst.graph, mod.vertices, clique),
-                                     inst.graph)
-
-    t0 = time.perf_counter()
-    while True:
-        fired = rule_clique_reduction(inst, mod)
-        if fired is None:
-            break
-        before, doomed = fired
-        report.clique_reductions += 1
-        report.rule_firings["clique_reduction"] = report.rule_firings.get("clique_reduction", 0) + 1
-        if not _quota_respected(before, doomed, inst.k):
-            report.quota_warnings += 1
-        if debug_assertions_enabled():
-            remainder = inst.graph.copy()
-            remainder.remove_vertices(mod.vertices & inst.graph.vertex_set())
-            recomputed = {frozenset(c) for c in clique_partition(remainder)}
-            debug_check(recomputed == {frozenset(c) for c in mod.cliques},
-                        "in-place clique update disagrees with a recompute")
-    report.wall_times["clique_reduction"] = time.perf_counter() - t0
-    report.record_stage("kernel", inst)
-    report.vertex_bound = dfed_vertex_bound(inst.k)
-    report.bound_ok = inst.graph.n <= report.vertex_bound
-    debug_check(report.bound_ok, "kernel exceeds the cubic vertex bound")
-    return KernelOutcome(False, inst, report, prov, log)
-
-
-def kernelize_dkt(inst: Instance) -> KernelOutcome:
-    """Kernelization for the mixed family: phase 1 plus the packing check.
-
-    No clique reduction is needed; the residual cliques already have fewer
-    than t vertices, which is what makes the bound quadratic in k.
-    """
-    if inst.family.sdiamond != 1 or inst.family.clique is None or inst.family.clique < 4:
-        raise FamilyError("kernelize_dkt needs the diamond plus a clique of size >= 4")
-    report = KernelReport()
-    report.record_stage("input", inst)
-    if inst.k < 0:
-        return _decided_no(report)
-    t0 = time.perf_counter()
-    inst, prov, log = run_phase1(inst)
-    report.wall_times["phase1"] = time.perf_counter() - t0
-    report.rule_firings = log.counts()
-    report.record_stage("phase1", inst)
-    if inst.k < 0:
-        return _decided_no(report)
-
-    t0 = time.perf_counter()
-    mod = compute_modulator(inst)
-    report.wall_times["modulator"] = time.perf_counter() - t0
-    if mod is None:
-        return _decided_no(report)
-    report.packing_edge_count = len(mod.packing_edges)
-    report.modulator_size = len(mod.vertices)
-    report.clique_count = len(mod.cliques)
-    report.record_stage("kernel", inst)
-    report.vertex_bound = dkt_vertex_bound(inst.k, inst.family.clique)
-    report.bound_ok = inst.graph.n <= report.vertex_bound
-    return KernelOutcome(False, inst, report, prov, log)
-
-
 def kernelize(inst: Instance) -> KernelOutcome:
-    """Dispatch on the family."""
+    """Full kernelization, one pipeline for both kernelizable families.
+
+    Phase 1 to a fixpoint, then the packing-based modulator (declaring no
+    when the packing exceeds the budget).  The pure diamond family then
+    runs clique reduction to exhaustion, which caps every clique at 4k
+    vertices and gives the 152k^3 + 70k^2 + 7k bound.  The mixed family
+    skips it: its residual cliques already have fewer than t vertices,
+    which is what makes its bound quadratic in k.  Either kernel has an
+    unchanged or smaller budget and is checked against kernel_vertex_bound.
+    """
     inst.family.require_kernelizable()
+    report = KernelReport()
+    report.record_stage("input", inst)
+    if inst.k < 0:
+        return KernelOutcome(True, None, report)
+    t0 = time.perf_counter()
+    inst, log = run_phase1(inst)
+    report.wall_times["phase1"] = time.perf_counter() - t0
+    report.rule_firings = log.counts()
+    report.record_stage("phase1", inst)
+    if inst.k < 0:
+        return KernelOutcome(True, None, report)
+
+    t0 = time.perf_counter()
+    mod = compute_modulator(inst)
+    report.wall_times["modulator"] = time.perf_counter() - t0
+    if mod is None:
+        return KernelOutcome(True, None, report)
+    report.packing_edge_count = len(mod.packing_edges)
+    report.modulator_size = len(mod.vertices)
+    report.clique_count = len(mod.cliques)
     if inst.family.clique is None:
-        return kernelize_dfed(inst)
-    return kernelize_dkt(inst)
+        if debug_assertions_enabled():
+            for clique in mod.cliques:
+                _fixpoint_context_checks(classify_clique(inst.graph, mod.vertices, clique),
+                                         inst.graph)
+        t0 = time.perf_counter()
+        while True:
+            fired = rule_clique_reduction(inst, mod)
+            if fired is None:
+                break
+            before, doomed = fired
+            report.clique_reductions += 1
+            report.rule_firings["clique_reduction"] = report.rule_firings.get("clique_reduction", 0) + 1
+            if not _quota_respected(before, doomed, inst.k):
+                report.quota_warnings += 1
+            if debug_assertions_enabled():
+                remainder = inst.graph.copy()
+                remainder.remove_vertices(mod.vertices & inst.graph.vertex_set())
+                recomputed = {frozenset(c) for c in clique_partition(remainder)}
+                debug_check(recomputed == {frozenset(c) for c in mod.cliques},
+                            "in-place clique update disagrees with a recompute")
+        report.wall_times["clique_reduction"] = time.perf_counter() - t0
+    report.record_stage("kernel", inst)
+    report.vertex_bound = kernel_vertex_bound(inst.k, inst.family)
+    report.bound_ok = inst.graph.n <= report.vertex_bound
+    debug_check(report.bound_ok, "kernel exceeds its vertex bound")
+    return KernelOutcome(False, inst, report, log)
+

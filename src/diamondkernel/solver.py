@@ -6,9 +6,10 @@ Niedermeier 2005) and by a packing lower bound that respects the marked
 edges.  Neither pruning changes the deletion set it returns; see
 solve_branching.  The brute-force functions are the ground truth
 everything else is measured against.  The
-oracles never call the pattern detector: they precompute, for every vertex
-subset that could host a pattern, a bitmask over edge (or pair) indices,
-and decide feasibility by mask arithmetic alone.  That keeps them
+oracles never call the pattern detector: they share one table that holds,
+for every vertex subset that could host a pattern, bitmasks over vertex-pair
+indices, and decide feasibility by mask arithmetic alone (deletion is
+editing restricted to the present pairs).  That keeps them
 independent of the detection code they are used to certify, and fast
 enough to sweep thousands of desk-scale instances.
 """
@@ -21,7 +22,7 @@ from itertools import combinations
 from math import comb
 
 from .checks import debug_check
-from .errors import GuardError
+from .errors import DiamondKernelError, GuardError
 from .family import FamilySpec
 from .graph import Graph, edge_key
 from .patterns import find_induced_occurrence, greedy_packing, max_edges_per_occurrence
@@ -35,7 +36,12 @@ def oracle_cap(override: int | None = None) -> int:
     if override is not None:
         return override
     env = os.environ.get(ORACLE_CAP_ENV)
-    return int(env) if env else DEFAULT_ORACLE_CAP
+    if not env:
+        return DEFAULT_ORACLE_CAP
+    try:
+        return int(env)
+    except ValueError:
+        raise DiamondKernelError(f"{ORACLE_CAP_ENV}={env!r} is not an integer") from None
 
 
 def _check_guard(universe: int, kmax: int, cap: int | None) -> None:
@@ -149,17 +155,7 @@ def solve_branching(inst: Instance) -> Solution:
     return Solution.infeasible(nodes)
 
 
-# -- pattern windows: bitmask tables for the brute-force oracles --------------
-
-@dataclass
-class _Window:
-    mask: int                       # bits of this subset's pairs that exist/are indexed
-    present_count: int
-    kind: str                       # "diamond", "sdiamond", "clique"
-    param: int
-    pairs: tuple[tuple[tuple[int, int], int], ...]  # (pair, bit) for shape checks
-    vertices: tuple[int, ...]
-
+# -- pattern windows: one bitmask table for the brute-force oracles ---------
 
 def _is_sdiamond_edge_set(vertices: tuple[int, ...], edges: set[tuple[int, int]], s: int) -> bool:
     """Exact shape test: edges on vertices form an edge joined to an
@@ -179,90 +175,14 @@ def _is_sdiamond_edge_set(vertices: tuple[int, ...], edges: set[tuple[int, int]]
     return edges == expected
 
 
-def _deletion_windows(g: Graph, fam: FamilySpec, bit_of: dict[tuple[int, int], int]) -> list[_Window]:
-    """Vertex subsets that could still host a pattern after deletions only."""
-    windows: list[_Window] = []
-    verts = g.vertices
-    if fam.sdiamond is not None:
-        s = fam.sdiamond
-        size, need = s + 3, 2 * (s + 1) + 1
-        for subset in combinations(verts, size):
-            pairs = [edge_key(u, v) for u, v in combinations(subset, 2) if g.has_edge(u, v)]
-            if len(pairs) < need:
-                continue
-            mask = 0
-            for p in pairs:
-                mask |= 1 << bit_of[p]
-            kind = "diamond" if s == 1 else "sdiamond"
-            windows.append(_Window(mask, len(pairs), kind, s,
-                                   tuple((p, bit_of[p]) for p in pairs), subset))
-    if fam.clique is not None:
-        t = fam.clique
-        full = t * (t - 1) // 2
-        for subset in combinations(verts, t):
-            pairs = [edge_key(u, v) for u, v in combinations(subset, 2) if g.has_edge(u, v)]
-            if len(pairs) != full:
-                continue
-            mask = 0
-            for p in pairs:
-                mask |= 1 << bit_of[p]
-            windows.append(_Window(mask, full, "clique", t, (), subset))
-    return windows
-
-
-def _deletion_leaves_pattern(delete_mask: int, windows: list[_Window]) -> bool:
-    for w in windows:
-        hit = (w.mask & delete_mask).bit_count()
-        survivors = w.present_count - hit
-        if w.kind == "clique":
-            if hit == 0:
-                return True
-        elif w.kind == "diamond":
-            if survivors == 5:
-                return True
-        else:
-            if survivors == 2 * (w.param + 1) + 1:
-                remaining = {p for p, bit in w.pairs if not (delete_mask >> bit) & 1}
-                if _is_sdiamond_edge_set(w.vertices, remaining, w.param):
-                    return True
-    return False
-
-
-def brute_force_min_deletion(g: Graph, fam: FamilySpec, kmax: int,
-                             cap: int | None = None) -> int | None:
-    """Exact minimum number of edge deletions (<= kmax) to reach family
-    freeness, or None if kmax does not suffice."""
-    if kmax < 0:
-        return None
-    edges = list(g.edges())
-    _check_guard(len(edges), kmax, cap)
-    bit_of = {e: i for i, e in enumerate(edges)}
-    windows = _deletion_windows(g, fam, bit_of)
-    bits = [1 << i for i in range(len(edges))]
-    for size in range(0, kmax + 1):
-        for combo in combinations(bits, size):
-            mask = 0
-            for b in combo:
-                mask |= b
-            if not _deletion_leaves_pattern(mask, windows):
-                return size
-    return None
-
-
-def has_induced_pattern_naive(g: Graph, fam: FamilySpec) -> bool:
-    """Subset-enumeration detector, independent of the edge-scan search."""
-    edges = list(g.edges())
-    bit_of = {e: i for i, e in enumerate(edges)}
-    return _deletion_leaves_pattern(0, _deletion_windows(g, fam, bit_of))
-
-
-# -- editing oracle -----------------------------------------------------------
-
-def _editing_windows(g: Graph, fam: FamilySpec,
-                     bit_of: dict[tuple[int, int], int]) -> list[tuple]:
-    """(pair_mask, present_mask, kind, param, pairs) over every subset that
-    could host a pattern after toggles; toggles can also build patterns, so
-    all subsets of the right size are kept."""
+def _pattern_windows(g: Graph, fam: FamilySpec, bit_of: dict[tuple[int, int], int],
+                     toggleable: int) -> list[tuple]:
+    """(pair_mask, present_mask, kind, param, pairs, subset) for every vertex
+    subset that could host a pattern once the pairs whose bits are set in
+    toggleable may flip: those whose present pairs plus toggleable pairs
+    are enough to form the pattern.  bit_of indexes every vertex pair.
+    Deletion passes the edges as toggleable, editing every pair, and a
+    plain detector none."""
     windows = []
     verts = g.vertices
     specs = []
@@ -272,7 +192,7 @@ def _editing_windows(g: Graph, fam: FamilySpec,
     if fam.clique is not None:
         t = fam.clique
         specs.append((t, "clique", t, t * (t - 1) // 2))
-    for size, kind, param, _need in specs:
+    for size, kind, param, need in specs:
         for subset in combinations(verts, size):
             pair_mask = 0
             present_mask = 0
@@ -284,11 +204,14 @@ def _editing_windows(g: Graph, fam: FamilySpec,
                 pairs.append((p, bit))
                 if g.has_edge(u, v):
                     present_mask |= 1 << bit
-            windows.append((pair_mask, present_mask, kind, param, tuple(pairs), subset))
+            if (present_mask | (pair_mask & toggleable)).bit_count() >= need:
+                windows.append((pair_mask, present_mask, kind, param, tuple(pairs), subset))
     return windows
 
 
-def _editing_leaves_pattern(toggle_mask: int, windows: list[tuple]) -> bool:
+def _leaves_pattern(toggle_mask: int, windows: list[tuple]) -> bool:
+    """True iff toggling the pairs in toggle_mask leaves some window
+    holding its pattern as an induced subgraph."""
     for pair_mask, present_mask, kind, param, pairs, subset in windows:
         after = present_mask ^ (toggle_mask & pair_mask)
         count = after.bit_count()
@@ -306,28 +229,55 @@ def _editing_leaves_pattern(toggle_mask: int, windows: list[tuple]) -> bool:
     return False
 
 
-def _min_editing(g: Graph, fam: FamilySpec, kmax: int, cap: int | None):
+def _pair_bits(g: Graph) -> dict[tuple[int, int], int]:
+    """Bit index of every vertex pair, in combinations order."""
+    return {edge_key(u, v): i for i, (u, v) in enumerate(combinations(g.vertices, 2))}
+
+
+def _min_toggles(g: Graph, fam: FamilySpec, kmax: int, cap: int | None,
+                 candidates: list[tuple[int, int]]):
+    """Smallest set of candidate pairs (at most kmax of them) whose toggling
+    leaves g family-free, as (size, pairs), or (None, None).  Sets of one
+    size are tried in combinations order over candidates."""
     if kmax < 0:
         return None, None
-    all_pairs = [edge_key(u, v) for u, v in combinations(g.vertices, 2)]
-    _check_guard(len(all_pairs), kmax, cap)
-    bit_of = {p: i for i, p in enumerate(all_pairs)}
-    windows = _editing_windows(g, fam, bit_of)
-    indexed = list(enumerate(all_pairs))
+    _check_guard(len(candidates), kmax, cap)
+    bit_of = _pair_bits(g)
+    indexed = [(1 << bit_of[p], p) for p in candidates]
+    toggleable = 0
+    for bit, _p in indexed:
+        toggleable |= bit
+    windows = _pattern_windows(g, fam, bit_of, toggleable)
     for size in range(0, kmax + 1):
         for combo in combinations(indexed, size):
             mask = 0
-            for i, _p in combo:
-                mask |= 1 << i
-            if not _editing_leaves_pattern(mask, windows):
-                return size, [p for _i, p in combo]
+            for bit, _p in combo:
+                mask |= bit
+            if not _leaves_pattern(mask, windows):
+                return size, [p for _bit, p in combo]
     return None, None
 
+
+def brute_force_min_deletion(g: Graph, fam: FamilySpec, kmax: int,
+                             cap: int | None = None) -> int | None:
+    """Exact minimum number of edge deletions (<= kmax) to reach family
+    freeness, or None if kmax does not suffice.  Deletion is editing
+    restricted to the present pairs."""
+    size, _ = _min_toggles(g, fam, kmax, cap, list(g.edges()))
+    return size
+
+
+def has_induced_pattern_naive(g: Graph, fam: FamilySpec) -> bool:
+    """Subset-enumeration detector, independent of the edge-scan search."""
+    return _leaves_pattern(0, _pattern_windows(g, fam, _pair_bits(g), 0))
+
+
+# -- editing oracle: every vertex pair may be toggled --------------------------
 
 def brute_force_min_editing(g: Graph, fam: FamilySpec, kmax: int,
                             cap: int | None = None) -> int | None:
     """Exact minimum number of edge toggles (<= kmax) to reach family freeness."""
-    size, _ = _min_editing(g, fam, kmax, cap)
+    size, _ = _min_toggles(g, fam, kmax, cap, list(_pair_bits(g)))
     return size
 
 
@@ -335,7 +285,7 @@ def brute_force_editing_solution(g: Graph, fam: FamilySpec, kmax: int,
                                  cap: int | None = None) -> EditSolution:
     """Like brute_force_min_editing but returns the toggled pairs split into
     deletions and additions."""
-    size, pairs = _min_editing(g, fam, kmax, cap)
+    size, pairs = _min_toggles(g, fam, kmax, cap, list(_pair_bits(g)))
     if size is None:
         return EditSolution.infeasible()
     deletes = frozenset(p for p in pairs if g.has_edge(*p))

@@ -23,7 +23,7 @@ from diamondkernel.harness import run_bench, verify_rule_safety
 from diamondkernel.instances import gen_hard_structure, reduce_vc_to_sdfed, lift_solution
 from diamondkernel.matching import maximum_matching
 from diamondkernel.patterns import is_family_free, iter_sdiamond_occurrences
-from diamondkernel.phase2 import kernelize_dfed
+from diamondkernel.phase2 import kernelize
 from diamondkernel.solver import (brute_force_editing_solution, brute_force_vertex_deletion,
                                   solve_branching)
 
@@ -98,7 +98,7 @@ def test_criterion_4_hard_structure_audit():
         inst = gen_hard_structure(k)
         before = inst.graph.copy()
         ok &= inst.graph.n == k * k + 4
-        out = kernelize_dfed(inst)
+        out = kernelize(inst)
         ok &= (not out.decided_no and out.kernel.graph == before
                and out.kernel.k == k)
     elapsed = time.time() - t0

@@ -142,6 +142,10 @@ def test_usage_error_exit(tmp_path, capsys):
     (["generate", "planted", "--sizes", "3", "--extra", "-1"], "argument --extra: -1 is below 0"),
     (["generate", "hard", "--k", "1"], "argument --k: 1 is below 2"),
     (["generate", "reduce-vc", "-i", "unused.txt", "--s", "0"], "argument --s: 0 is below 1"),
+    (["verify", "--trials", "-3"], "argument --trials: -3 is below 1"),
+    (["verify", "--max-n", "-1"], "argument --max-n: -1 is below 0"),
+    (["verify", "--cap", "-5"], "argument --cap: -5 is below 0"),
+    (["solve", "-i", "unused.txt", "--cap", "-5"], "argument --cap: -5 is below 0"),
 ])
 def test_out_of_range_arguments_are_usage_errors(argv, fragment, capsys):
     with pytest.raises(SystemExit) as info:

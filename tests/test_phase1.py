@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from diamondkernel.family import FamilySpec
 from diamondkernel.graph import Graph
 from diamondkernel.instances import gen_hard_structure
-from diamondkernel.phase1 import (Instance, SplitProvenance, replay,
+from diamondkernel.phase1 import (Instance, replay,
                                   phase1_fixpoint_properties, rule_irrelevant_component,
                                   rule_irrelevant_edge, rule_sunflower, rule_vertex_split,
                                   run_phase1)
@@ -82,29 +82,28 @@ def test_sunflower_at_zero_budget_marks_decided_no():
 def test_vertex_split_bowtie():
     g = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
     inst = Instance(g, 1, DIAMOND)
-    prov = SplitProvenance()
-    assert rule_vertex_split(inst, prov) == 0
+    v, pieces = rule_vertex_split(inst)
+    assert v == 0
     assert inst.graph.connected_components() == [{1, 2, 5}, {3, 4, 6}]
-    assert prov.origins == {5: (0, frozenset({1, 2})), 6: (0, frozenset({3, 4}))}
+    assert pieces == ((5, frozenset({1, 2})), (6, frozenset({3, 4})))
 
 
 def test_vertex_split_star_center():
     g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     inst = Instance(g, 1, DIAMOND)
-    assert rule_vertex_split(inst, SplitProvenance()) == 0
+    assert rule_vertex_split(inst)[0] == 0
     assert inst.graph.m == 3 and len(inst.graph.connected_components()) == 3
 
 
 def test_vertex_split_none_on_diamond():
-    assert rule_vertex_split(Instance(diamond_graph(), 1, DIAMOND), SplitProvenance()) is None
+    assert rule_vertex_split(Instance(diamond_graph(), 1, DIAMOND)) is None
 
 
 def test_vertex_split_sibling_distance():
     g = Graph.from_edges(7, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4), (1, 5), (3, 6)])
     inst = Instance(g, 1, DIAMOND)
-    prov = SplitProvenance()
-    v = rule_vertex_split(inst, prov)
-    siblings = [new for new, (orig, _) in prov.origins.items() if orig == v]
+    _, pieces = rule_vertex_split(inst)
+    siblings = [new for new, _ in pieces]
     for a, b in combinations(siblings, 2):
         dist = inst.graph.distance(a, b)
         assert dist is None or dist >= 4
@@ -146,7 +145,7 @@ def test_rule_log_replays():
     g = Graph.from_edges(8, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4),
                              (5, 6), (6, 7)])
     inst = Instance(g.copy(), 2, DIAMOND)
-    _, _, log = run_phase1(inst)
+    _, log = run_phase1(inst)
     assert len(log) > 0
     assert replay(log, g) == inst.graph
 
@@ -157,7 +156,7 @@ def test_single_rules_preserve_decisions(inst):
     fam, k = inst.family, inst.k
     before = oracle_feasible(inst.graph, fam, k)
     for rule in (rule_irrelevant_edge, rule_sunflower,
-                 lambda i: rule_vertex_split(i, SplitProvenance()),
+                 rule_vertex_split,
                  rule_irrelevant_component):
         probe = inst.copy()
         if rule(probe) is None:
@@ -171,7 +170,7 @@ def test_single_rules_preserve_decisions(inst):
 def test_phase1_fixpoint_and_size_laws(inst):
     n0, m0, k0 = inst.graph.n, inst.graph.m, inst.k
     before = oracle_feasible(inst.graph, inst.family, k0)
-    out, prov, log = run_phase1(inst)
+    out, log = run_phase1(inst)
     assert not phase1_fixpoint_properties(out)
     assert out.graph.m <= m0
     assert out.graph.n <= 2 * m0
@@ -181,10 +180,17 @@ def test_phase1_fixpoint_and_size_laws(inst):
     assert len(log) <= 6 * (n0 + m0 + 1) ** 2
     # split provenance: new ids unique, components of one origin disjoint
     by_origin = {}
-    for new_id, (orig, comp) in prov.origins.items():
-        for other in by_origin.get(orig, []):
-            assert not (comp & other)
-        by_origin.setdefault(orig, []).append(comp)
+    new_ids = []
+    for ev in log.events:
+        if ev.rule != "vertex_split":
+            continue
+        orig, pieces = ev.data
+        for new_id, comp in pieces:
+            new_ids.append(new_id)
+            for other in by_origin.get(orig, []):
+                assert not (comp & other)
+            by_origin.setdefault(orig, []).append(comp)
+    assert len(new_ids) == len(set(new_ids))
 
 
 @settings(max_examples=40, deadline=None)
@@ -196,5 +202,5 @@ def test_vertex_split_monotone_progress(inst):
         return sum(1 for v in graph.vertices if len(graph.neighborhood_components(v)) > 1)
 
     before = disconnected_count(g)
-    if rule_vertex_split(inst, SplitProvenance()) is not None:
+    if rule_vertex_split(inst) is not None:
         assert disconnected_count(inst.graph) < before

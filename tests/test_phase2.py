@@ -10,8 +10,7 @@ from diamondkernel.instances import gen_hard_structure
 from diamondkernel.phase1 import Instance
 from diamondkernel.phase2 import (Modulator, classify_clique, compute_modulator,
                                   dfed_vertex_bound, dkt_vertex_bound, kernelize,
-                                  kernelize_dfed, kernelize_dkt, rule_clique_reduction,
-                                  validate_modulator)
+                                  rule_clique_reduction, validate_modulator)
 from diamondkernel.solver import brute_force_min_deletion
 from diamondkernel.patterns import is_family_free
 
@@ -182,38 +181,34 @@ def test_no_optimal_solution_uses_big_clique_edges():
 # -- kernelizers ------------------------------------------------------------------------
 
 def test_kernelize_diamond_unchanged():
-    out = kernelize_dfed(Instance(diamond_graph(), 1, DIAMOND))
+    out = kernelize(Instance(diamond_graph(), 1, DIAMOND))
     assert not out.decided_no
     assert out.kernel.graph == diamond_graph() and out.kernel.k == 1
 
 
 def test_kernelize_triangle_empty():
-    out = kernelize_dfed(Instance(Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)]), 0, DIAMOND))
+    out = kernelize(Instance(Graph.from_edges(3, [(0, 1), (0, 2), (1, 2)]), 0, DIAMOND))
     assert not out.decided_no and out.kernel.graph.n == 0
 
 
 def test_kernelize_diamond_budget_zero():
-    out = kernelize_dfed(Instance(diamond_graph(), 0, DIAMOND))
+    out = kernelize(Instance(diamond_graph(), 0, DIAMOND))
     assert out.decided_no
     with pytest.raises(ValueError):
         out.kernel
 
 
 def test_kernelize_dkt_examples():
-    out = kernelize_dkt(Instance(complete_graph(5), 0, FamilySpec.diamond_kt(4)))
+    out = kernelize(Instance(complete_graph(5), 0, FamilySpec.diamond_kt(4)))
     assert out.decided_no
-    out = kernelize_dkt(Instance(diamond_graph(), 1, FamilySpec.diamond_kt(4)))
+    out = kernelize(Instance(diamond_graph(), 1, FamilySpec.diamond_kt(4)))
     assert not out.decided_no and out.kernel.graph == diamond_graph()
     free = Graph.from_edges(5, [(0, 1), (1, 2), (2, 0), (3, 4)])
-    out = kernelize_dkt(Instance(free, 2, FamilySpec.diamond_kt(4)))
+    out = kernelize(Instance(free, 2, FamilySpec.diamond_kt(4)))
     assert not out.decided_no and out.kernel.graph.n == 0
 
 
 def test_kernelize_family_dispatch_guards():
-    with pytest.raises(FamilyError):
-        kernelize_dfed(Instance(diamond_graph(), 1, FamilySpec.diamond_kt(4)))
-    with pytest.raises(FamilyError):
-        kernelize_dkt(Instance(diamond_graph(), 1, DIAMOND))
     with pytest.raises(FamilyError):
         kernelize(Instance(diamond_graph(), 1, FamilySpec.s_diamond(2)))
 
@@ -222,7 +217,7 @@ def test_kernelize_hard_structures_unchanged():
     for k in range(2, 7):
         inst = gen_hard_structure(k)
         before = inst.graph.copy()
-        out = kernelize_dfed(inst)
+        out = kernelize(inst)
         assert not out.decided_no
         assert out.kernel.graph == before and out.kernel.k == k
         assert out.kernel.graph.n == k * k + 4
@@ -237,7 +232,7 @@ def test_kernelize_survives_restored_pair_trap():
     edges += [(0, c) for c in C] + [(1, c) for c in C]        # a,b adjacent to all of C
     g = Graph.from_edges(9, edges)
     assert brute_force_min_deletion(g, DIAMOND, 1) == 1
-    out = kernelize_dfed(Instance(g.copy(), 1, DIAMOND))
+    out = kernelize(Instance(g.copy(), 1, DIAMOND))
     assert not out.decided_no
     assert oracle_feasible(out.kernel.graph, DIAMOND, out.kernel.k)
     assert out.report.quota_warnings == 1  # the rule deleted past the lemma quota
@@ -253,7 +248,7 @@ def test_vertex_bounds():
 
 
 def test_report_stage_monotone_edges():
-    out = kernelize_dfed(Instance(gen_hard_structure(3).graph, 3, DIAMOND))
+    out = kernelize(Instance(gen_hard_structure(3).graph, 3, DIAMOND))
     stages = out.report.stages
     for a, b in zip(stages, stages[1:]):
         assert b.m <= a.m
@@ -273,3 +268,40 @@ def test_kernelization_preserves_decision(inst):
         assert out.report.bound_ok
         assert kern.k <= inst.k
     assert after == before
+
+
+def test_kernelize_reports_pin_both_families():
+    """Every deterministic report field, and the timed stages, of one
+    diamond instance where clique reduction fires and one mixed-family
+    instance where three phase-1 rules fire."""
+    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)]          # the restored-pair trap
+    C = [4, 5, 6, 7, 8]
+    edges += [(u, v) for u, v in combinations(C, 2)]
+    edges += [(0, c) for c in C] + [(1, c) for c in C]
+    out = kernelize(Instance(Graph.from_edges(9, edges), 1, DIAMOND))
+    report = out.report.as_dict()
+    assert set(report.pop("wall_times")) == {"phase1", "modulator", "clique_reduction"}
+    assert report == {
+        "rule_firings": {"clique_reduction": 1},
+        "stages": [{"label": "input", "n": 9, "m": 25, "k": 1},
+                   {"label": "phase1", "n": 9, "m": 25, "k": 1},
+                   {"label": "kernel", "n": 5, "m": 7, "k": 1}],
+        "packing_edge_count": 5, "modulator_size": 4, "clique_count": 1,
+        "clique_reductions": 1, "quota_warnings": 1,
+        "vertex_bound": 229, "bound_ok": True,
+    }
+
+    g = Graph.from_edges(9, [(0, 1), (0, 2), (0, 7), (1, 2), (1, 3), (1, 4), (1, 5),
+                             (1, 7), (1, 8), (2, 3), (2, 7), (3, 6), (4, 5), (5, 8)])
+    out = kernelize(Instance(g, 2, FamilySpec.diamond_kt(4)))
+    report = out.report.as_dict()
+    assert set(report.pop("wall_times")) == {"phase1", "modulator"}
+    assert report == {
+        "rule_firings": {"irrelevant_component": 1, "irrelevant_edge": 1, "vertex_split": 1},
+        "stages": [{"label": "input", "n": 9, "m": 14, "k": 2},
+                   {"label": "phase1", "n": 9, "m": 13, "k": 2},
+                   {"label": "kernel", "n": 9, "m": 13, "k": 2}],
+        "packing_edge_count": 10, "modulator_size": 8, "clique_count": 1,
+        "clique_reductions": 0, "quota_warnings": 0,
+        "vertex_bound": 720, "bound_ok": True,
+    }
