@@ -4,8 +4,7 @@ from .family import FamilySpec
 from .graph import Graph, edge_key
 from .matching import maximum_matching
 from .patterns import (PatternOccurrence, clique_partition, find_induced_occurrence,
-                       greedy_packing, is_core_member_edge, is_core_member_vertex,
-                       is_family_free)
+                       greedy_packing, is_core_member_edge, is_family_free)
 from .phase1 import Instance, RuleLog, run_phase1
 from .phase2 import (CliqueContext, KernelOutcome, KernelReport, Modulator,
                      classify_clique, compute_modulator, dfed_vertex_bound,
@@ -24,8 +23,7 @@ __version__ = "0.1.0"
 __all__ = [
     "FamilySpec", "Graph", "edge_key", "maximum_matching",
     "PatternOccurrence", "clique_partition", "find_induced_occurrence",
-    "greedy_packing", "is_core_member_edge", "is_core_member_vertex",
-    "is_family_free",
+    "greedy_packing", "is_core_member_edge", "is_family_free",
     "Instance", "RuleLog", "run_phase1",
     "CliqueContext", "KernelOutcome", "KernelReport", "Modulator",
     "classify_clique", "compute_modulator", "dfed_vertex_bound",

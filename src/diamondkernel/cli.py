@@ -6,9 +6,10 @@ are excluded), so a command repeated with the same flags and seed produces
 byte-identical instance files and the same digest.
 
 Exit codes: 0 success / feasible / kernelized, 10 decided-no / infeasible,
-2 usage or parse error, 3 size-guard refusal.  Arguments are range-checked
-by argparse, so any other exception is a fault of the program and ends the
-run with its traceback (exit 1).
+2 usage or parse error, 3 size-guard refusal, 1 when verify finds a failed
+check or bench a kernel over its bound.  Arguments are range-checked by
+argparse, so any other exception is a fault of the program and ends the
+run with its traceback (also exit 1).
 """
 
 from __future__ import annotations

@@ -31,12 +31,7 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Graph on vertices 0..n-1 with the given edges."""
-        g = cls()
-        for v in range(n):
-            g.add_vertex_with_id(v)
-        for u, v in edges:
-            g.add_edge(u, v)
-        return g
+        return cls.from_vertices_and_edges(range(n), edges)
 
     @classmethod
     def from_vertices_and_edges(cls, vertices: Iterable[int],
@@ -102,9 +97,6 @@ class Graph:
     def _require(self, v: int) -> None:
         if v not in self._adj:
             raise UnknownVertexError(v)
-
-    def __contains__(self, v: int) -> bool:
-        return v in self._adj
 
     @property
     def vertices(self) -> list[int]:
@@ -205,26 +197,6 @@ class Graph:
         """Connected components of g[N(v)], ordered by smallest member id."""
         self._require(v)
         return self.induced_subgraph(self._adj[v]).connected_components()
-
-    def distance(self, u: int, v: int) -> int | None:
-        """BFS hop distance, or None if disconnected."""
-        self._require(u)
-        self._require(v)
-        if u == v:
-            return 0
-        dist = {u: 0}
-        frontier = [u]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for w in self._adj[x]:
-                    if w not in dist:
-                        dist[w] = dist[x] + 1
-                        if w == v:
-                            return dist[w]
-                        nxt.append(w)
-            frontier = nxt
-        return None
 
     # -- validation --------------------------------------------------------
 

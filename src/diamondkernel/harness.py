@@ -1,9 +1,9 @@
 """Seeded rule-safety verification and kernel benchmarking.
 
 The verifier is the executable form of the safety claims: on a seeded
-random corpus it applies every reduction rule once, runs the full
-kernelization, and compares decisions against the brute-force deletion
-oracle.  The bench harness times the pipeline stages and certifies the
+random corpus it applies every reduction rule once, runs phase 1 to a
+fixpoint that its rule log must replay to, runs the full kernelization,
+and compares decisions against the brute-force deletion oracle.  The bench harness times the pipeline stages and certifies the
 kernel-size bounds on every processed instance.
 """
 
@@ -15,18 +15,13 @@ from dataclasses import dataclass, field
 
 from .family import FamilySpec
 from .instances import clique_layout, gen_gnp, gen_hard_structure, gen_planted_yes
-from .phase1 import (Instance, rule_irrelevant_component, rule_irrelevant_edge,
-                     rule_sunflower, rule_vertex_split, run_phase1,
-                     phase1_fixpoint_properties)
+from .phase1 import Instance, phase1_fixpoint_properties, replay, rules, run_phase1
 from .phase2 import kernelize
 from .solver import brute_force_min_deletion, solve_branching
 
-RULES = (
-    ("irrelevant_edge", rule_irrelevant_edge),
-    ("sunflower", rule_sunflower),
-    ("vertex_split", rule_vertex_split),
-    ("irrelevant_component", rule_irrelevant_component),
-)
+# Largest budget a sampled instance gets; the solver check tries every
+# budget from 0 to it.
+K_MAX = 3
 
 
 @dataclass
@@ -43,47 +38,46 @@ class CheckCounts:
             self.failures.append(context)
 
 
-def sample_instance(rng: random.Random, max_n: int, family: FamilySpec,
-                    p_values=(0.3, 0.5, 0.7), k_max: int = 3) -> Instance:
+def sample_instance(rng: random.Random, max_n: int, family: FamilySpec) -> Instance:
     n = rng.randint(min(5, max_n), max_n)
-    p = rng.choice(list(p_values))
+    p = rng.choice([0.3, 0.5, 0.7])
     g = gen_gnp(n, p, rng.getrandbits(32))
-    return Instance(g, rng.randint(0, k_max), family)
+    return Instance(g, rng.randint(0, K_MAX), family)
 
 
 def verify_rule_safety(trials: int, max_n: int, seed: int, family: FamilySpec,
-                       check_solver: bool = False, check_fixpoint: bool = True,
-                       k_max: int = 3, oracle_cap: int | None = None) -> dict:
+                       check_solver: bool = False, oracle_cap: int | None = None) -> dict:
     """Run the seeded safety corpus; the result is fully deterministic in
     (trials, max_n, seed, family, flags)."""
     rng = random.Random(seed)
-    rules = {name: CheckCounts() for name, _ in RULES}
+    rule_checks = {name: CheckCounts() for name, _ in rules()}
     kernel_checks = CheckCounts()
     fixpoint_checks = CheckCounts()
     solver_checks = CheckCounts()
     bound_checks = CheckCounts()
     for trial in range(trials):
-        inst = sample_instance(rng, max_n, family, k_max=k_max)
+        inst = sample_instance(rng, max_n, family)
         g, k = inst.graph, inst.k
         before = brute_force_min_deletion(g, family, k, cap=oracle_cap) is not None
         context = {"trial": trial, "n": g.n, "edges": sorted(g.edges()), "k": k,
                    "family": family.token()}
-        for name, rule in RULES:
+        for name, rule in rules():
             probe = inst.copy()
             outcome = rule(probe)
             if outcome is None:
                 continue
             after = brute_force_min_deletion(probe.graph, family, probe.k,
                                              cap=oracle_cap) is not None
-            rules[name].record(after == before, {**context, "rule": name})
+            rule_checks[name].record(after == before, {**context, "rule": name})
 
         probe = inst.copy()
-        run_phase1(probe)
-        if check_fixpoint:
-            problems = phase1_fixpoint_properties(probe)
-            shape_ok = (not problems and probe.graph.m <= g.m
-                        and probe.graph.n <= 2 * g.m)
-            fixpoint_checks.record(shape_ok, {**context, "problems": problems})
+        _, log = run_phase1(probe)
+        problems = phase1_fixpoint_properties(probe)
+        if replay(log, g) != probe.graph:
+            problems.append("replaying the rule log does not give the fixpoint")
+        shape_ok = (not problems and probe.graph.m <= g.m
+                    and probe.graph.n <= 2 * g.m)
+        fixpoint_checks.record(shape_ok, {**context, "problems": problems})
 
         outcome = kernelize(inst.copy())
         if outcome.decided_no:
@@ -96,19 +90,19 @@ def verify_rule_safety(trials: int, max_n: int, seed: int, family: FamilySpec,
         kernel_checks.record(after == before, context)
 
         if check_solver:
-            for budget in range(0, k_max + 1):
+            for budget in range(0, K_MAX + 1):
                 sol = solve_branching(Instance(g.copy(), budget, family))
                 expected = brute_force_min_deletion(g, family, budget,
                                                     cap=oracle_cap) is not None
                 solver_checks.record(sol.feasible == expected, {**context, "k": budget})
 
-    sections = {"rules": {name: vars_of(c) for name, c in rules.items()},
+    sections = {"rules": {name: vars_of(c) for name, c in rule_checks.items()},
                 "kernelization": vars_of(kernel_checks),
                 "phase1_fixpoint": vars_of(fixpoint_checks),
                 "kernel_bounds": vars_of(bound_checks)}
     if check_solver:
         sections["solver_cross_check"] = vars_of(solver_checks)
-    all_counts = list(rules.values()) + [kernel_checks, fixpoint_checks, bound_checks, solver_checks]
+    all_counts = list(rule_checks.values()) + [kernel_checks, fixpoint_checks, bound_checks, solver_checks]
     sections["pass"] = all(not c.failures for c in all_counts)
     sections["trials"] = trials
     return sections
@@ -121,17 +115,14 @@ def vars_of(c: CheckCounts) -> dict:
 
 # -- benchmarking -------------------------------------------------------------
 
-def bench_corpus(seed: int, hard_ks=(2, 3, 4, 5, 6),
-                 planted=(((4, 4, 4, 4), 2), ((5, 5, 5, 5, 5, 5, 5, 5), 3),
-                          ((5,) * 40, 5)),
-                 gnp=((12, 0.3), (16, 0.25))) -> list[tuple[str, Instance]]:
+def bench_corpus(seed: int) -> list[tuple[str, Instance]]:
     """Deterministic benchmark instances: hard structures, planted
     yes-instances (clique sizes, extra edges), and sparse random graphs."""
     rng = random.Random(seed)
     corpus: list[tuple[str, Instance]] = []
-    for k in hard_ks:
+    for k in (2, 3, 4, 5, 6):
         corpus.append((f"hard(k={k})", gen_hard_structure(k)))
-    for sizes, extra in planted:
+    for sizes, extra in (((4, 4, 4, 4), 2), ((5,) * 8, 3), ((5,) * 40, 5)):
         layout = clique_layout(list(sizes), "disjoint")
         if len(set(sizes)) == 1:
             tag = f"{len(sizes)}x{sizes[0]}"
@@ -139,16 +130,16 @@ def bench_corpus(seed: int, hard_ks=(2, 3, 4, 5, 6),
             tag = ",".join(map(str, sizes))
         corpus.append((f"planted(sizes={tag},k={extra})",
                        gen_planted_yes(layout, extra, rng.getrandbits(32))))
-    for n, p in gnp:
+    for n, p in ((12, 0.3), (16, 0.25)):
         g = gen_gnp(n, p, rng.getrandbits(32))
         corpus.append((f"gnp(n={n},p={p})", Instance(g, 3, FamilySpec.diamond())))
     return corpus
 
 
-def run_bench(seed: int, **corpus_kwargs) -> dict:
+def run_bench(seed: int) -> dict:
     rows = []
     violations = 0
-    for label, inst in bench_corpus(seed, **corpus_kwargs):
+    for label, inst in bench_corpus(seed):
         t0 = time.perf_counter()
         outcome = kernelize(inst.copy())
         elapsed = time.perf_counter() - t0

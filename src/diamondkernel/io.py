@@ -2,7 +2,7 @@
 
 DIMACS-flavored, UTF-8, LF:
 
-    c optional comment lines
+    c optional comment lines (first token exactly "c")
     p dfed <n> <m> <k> <family>
     e <u> <v>
 
@@ -29,10 +29,9 @@ def parse_instance(text: str) -> Instance:
     edges: list[tuple[int, int]] = []
     seen: set[tuple[int, int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        fields = raw.split()
+        if not fields or fields[0] == "c":
             continue
-        fields = line.split()
         if fields[0] == "p":
             if header is not None:
                 raise ParseError("duplicate header line", lineno)

@@ -96,7 +96,7 @@ def maximum_matching(g: Graph) -> set[tuple[int, int]]:
     return {edge_key(verts[v], verts[match[v]]) for v in range(n) if match[v] > v}
 
 
-def maximum_non_matching_size(g: Graph, vs: set[int] | None = None) -> int:
+def maximum_non_matching_size(g: Graph, vs: set[int]) -> int:
     """Largest set of pairwise vertex-disjoint non-edges of g[vs].
 
     Equals the maximum matching of the complement restricted to vs, which is
@@ -108,8 +108,6 @@ def maximum_non_matching_size(g: Graph, vs: set[int] | None = None) -> int:
     in between need Edmonds' algorithm on the complement, and it is what
     keeps the threshold exact there.
     """
-    if vs is None:
-        vs = g.vertex_set()
     free = set(vs)
     greedy = 0
     for u in sorted(vs):

@@ -182,12 +182,6 @@ def is_family_free(g: Graph, fam: FamilySpec) -> bool:
 
 # -- core membership (not-necessarily-induced containment) ------------------
 
-def _require_core_family(fam: FamilySpec) -> None:
-    if fam.sdiamond != 1:
-        raise FamilyError(
-            f"core membership is implemented for the plain diamond families, got {fam.token()}")
-
-
 def _has_clique_within(g: Graph, pool: list[int], size: int) -> bool:
     """True iff g[pool] contains a clique on `size` vertices."""
     if size <= 0:
@@ -217,7 +211,9 @@ def is_core_member_edge(g: Graph, e: tuple[int, int], fam: FamilySpec) -> bool:
     (N(x) | N(y)) - {x, y, a}.  That is an O(deg) test instead of a walk
     over all pairs of the neighbourhood.
     """
-    _require_core_family(fam)
+    if fam.sdiamond != 1:
+        raise FamilyError(
+            f"core membership is implemented for the plain diamond families, got {fam.token()}")
     x, y = e
     if not g.has_edge(x, y):
         raise ValueError(f"edge {e} not in graph")
@@ -233,16 +229,6 @@ def is_core_member_edge(g: Graph, e: tuple[int, int], fam: FamilySpec) -> bool:
         if _has_clique_within(g, sorted(common), fam.clique - 2):
             return True
     return False
-
-
-def is_core_member_vertex(g: Graph, v: int, fam: FamilySpec) -> bool:
-    """True iff v lies in a diamond (or K_t) subgraph.
-
-    Every vertex of a diamond or K_t has an incident edge inside the copy,
-    so this reduces to the edge test over v's incident edges.
-    """
-    _require_core_family(fam)
-    return any(is_core_member_edge(g, edge_key(v, u), fam) for u in sorted(g.neighbors(v)))
 
 
 # -- greedy edge-disjoint packing -------------------------------------------

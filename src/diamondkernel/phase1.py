@@ -1,15 +1,15 @@
 """First reduction phase: irrelevant-edge, sunflower, vertex-split, and
 irrelevant-component rules, plus the fixpoint driver.
 
-Rules fire in a fixed priority order (irrelevant edge, sunflower,
-vertex-split, irrelevant component), restarting from the top after any
-firing.  Each rule is individually decision-preserving, so the order only
-pins down reproducibility.
+rules() is the one table of the rules and their priority order; the
+driver restarts from its top after any firing.  Each rule is individually
+decision-preserving, so the order only pins down reproducibility.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .checks import debug_assertions_enabled, debug_check
 from .family import FamilySpec
@@ -38,8 +38,12 @@ class Instance:
 
 @dataclass(frozen=True)
 class RuleEvent:
+    """One firing.  data is what the rule returned: the deleted edge
+    (irrelevant_edge, sunflower), (v, pieces) (vertex_split), or the
+    deleted vertex set (irrelevant_component)."""
+
     rule: str
-    data: tuple
+    data: object
     k_before: int
     k_after: int
 
@@ -48,7 +52,7 @@ class RuleEvent:
 class RuleLog:
     events: list[RuleEvent] = field(default_factory=list)
 
-    def append(self, rule: str, data: tuple, k_before: int, k_after: int) -> None:
+    def append(self, rule: str, data: object, k_before: int, k_after: int) -> None:
         self.events.append(RuleEvent(rule, data, k_before, k_after))
 
     def counts(self) -> dict[str, int]:
@@ -66,8 +70,7 @@ def replay(log: RuleLog, graph: Graph) -> Graph:
     g = graph.copy()
     for ev in log.events:
         if ev.rule == "irrelevant_edge" or ev.rule == "sunflower":
-            (edge,) = ev.data
-            g.remove_edge(*edge)
+            g.remove_edge(*ev.data)
         elif ev.rule == "vertex_split":
             v, pieces = ev.data
             for new_id, component in pieces:
@@ -78,8 +81,7 @@ def replay(log: RuleLog, graph: Graph) -> Graph:
                     g.add_edge(new_id, u)
             g.remove_vertex(v)
         elif ev.rule == "irrelevant_component":
-            (vertices,) = ev.data
-            g.remove_vertices(vertices)
+            g.remove_vertices(ev.data)
         else:
             raise ValueError(f"unknown rule {ev.rule}")
     return g
@@ -142,14 +144,26 @@ def rule_vertex_split(inst: Instance) -> tuple[int, tuple[tuple[int, frozenset[i
     return None
 
 
-def rule_irrelevant_component(inst: Instance) -> set[int] | None:
+def rule_irrelevant_component(inst: Instance) -> frozenset[int] | None:
     """Delete the first component that is family-free."""
     g = inst.graph
     for component in g.connected_components():
         if is_family_free(g.induced_subgraph(component), inst.family):
             g.remove_vertices(component)
-            return component
+            return frozenset(component)
     return None
+
+
+def rules() -> tuple[tuple[str, Callable[[Instance], object]], ...]:
+    """The four rules as (name, rule) pairs in priority order.
+
+    Built at each call from this module's names, so a rule replaced on the
+    module (a tracing wrapper, an injected fault) is the one that runs.
+    """
+    return (("irrelevant_edge", rule_irrelevant_edge),
+            ("sunflower", rule_sunflower),
+            ("vertex_split", rule_vertex_split),
+            ("irrelevant_component", rule_irrelevant_component))
 
 
 # -- fixpoint driver ---------------------------------------------------------
@@ -164,23 +178,13 @@ def run_phase1(inst: Instance) -> tuple[Instance, RuleLog]:
         if debug_assertions_enabled():
             inst.graph.validate()
         k_before = inst.k
-        e = rule_irrelevant_edge(inst)
-        if e is not None:
-            log.append("irrelevant_edge", (e,), k_before, inst.k)
-            continue
-        e = rule_sunflower(inst)
-        if e is not None:
-            log.append("sunflower", (e,), k_before, inst.k)
-            continue
-        split = rule_vertex_split(inst)
-        if split is not None:
-            log.append("vertex_split", split, k_before, inst.k)
-            continue
-        comp = rule_irrelevant_component(inst)
-        if comp is not None:
-            log.append("irrelevant_component", (frozenset(comp),), k_before, inst.k)
-            continue
-        break
+        for name, rule in rules():
+            data = rule(inst)
+            if data is not None:
+                log.append(name, data, k_before, inst.k)
+                break
+        else:
+            break
     debug_check(inst.graph.m <= edges_in, "phase 1 increased the edge count")
     return inst, log
 

@@ -20,7 +20,7 @@ every residual clique has fewer than t vertices, giving
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from math import comb
 
 from .checks import debug_check, debug_assertions_enabled
@@ -242,18 +242,9 @@ class KernelReport:
         self.stages.append(StageStat(label, inst.graph.n, inst.graph.m, inst.k))
 
     def as_dict(self) -> dict:
-        return {
-            "rule_firings": dict(sorted(self.rule_firings.items())),
-            "stages": [{"label": s.label, "n": s.n, "m": s.m, "k": s.k} for s in self.stages],
-            "packing_edge_count": self.packing_edge_count,
-            "modulator_size": self.modulator_size,
-            "clique_count": self.clique_count,
-            "clique_reductions": self.clique_reductions,
-            "quota_warnings": self.quota_warnings,
-            "wall_times": {k: round(v, 6) for k, v in self.wall_times.items()},
-            "vertex_bound": self.vertex_bound,
-            "bound_ok": self.bound_ok,
-        }
+        out = asdict(self)
+        out["wall_times"] = {k: round(v, 6) for k, v in self.wall_times.items()}
+        return out
 
 
 @dataclass
@@ -261,7 +252,7 @@ class KernelOutcome:
     decided_no: bool
     instance: Instance | None
     report: KernelReport
-    log: RuleLog | None = None
+    log: RuleLog | None = None   # None only when the input budget was negative
 
     @property
     def kernel(self) -> Instance:
@@ -292,13 +283,13 @@ def kernelize(inst: Instance) -> KernelOutcome:
     report.rule_firings = log.counts()
     report.record_stage("phase1", inst)
     if inst.k < 0:
-        return KernelOutcome(True, None, report)
+        return KernelOutcome(True, None, report, log)
 
     t0 = time.perf_counter()
     mod = compute_modulator(inst)
     report.wall_times["modulator"] = time.perf_counter() - t0
     if mod is None:
-        return KernelOutcome(True, None, report)
+        return KernelOutcome(True, None, report, log)
     report.packing_edge_count = len(mod.packing_edges)
     report.modulator_size = len(mod.vertices)
     report.clique_count = len(mod.cliques)

@@ -48,6 +48,7 @@ def test_parse_family_tokens():
     ("p dfed 2 1 -1 diamond\ne 0 1\n", "non-negative"),
     ("p dfed 2 0 0 paw\n", "unrecognized family"),
     ("p dfed 2 0 0 diamond\nx 1 2\n", "unrecognized line"),
+    ("p dfed 3 1 0 diamond\ncorrupt line\ne 0 1\n", "unrecognized line"),
     ("", "missing header"),
 ])
 def test_parse_errors(text, fragment):

@@ -7,8 +7,7 @@ from diamondkernel.errors import FamilyError, NotDiamondFreeError
 from diamondkernel.family import FamilySpec
 from diamondkernel.graph import Graph, edge_key
 from diamondkernel.patterns import (clique_partition, find_induced_occurrence,
-                                    greedy_packing, is_core_member_edge,
-                                    is_core_member_vertex, is_family_free,
+                                    greedy_packing, is_core_member_edge, is_family_free,
                                     iter_clique_occurrences, iter_sdiamond_occurrences)
 from diamondkernel.solver import has_induced_pattern_naive
 from diamondkernel.instances import gen_hard_structure
@@ -157,14 +156,9 @@ def test_core_member_diamond_every_edge():
 
 
 def test_core_member_vertex_cases():
-    g = diamond_graph()
-    assert all(is_core_member_vertex(g, v, DIAMOND) for v in g.vertices)
-    lonely = Graph.from_edges(1, [])
-    assert not is_core_member_vertex(lonely, 0, DIAMOND)
     k4_pendant = complete_graph(4)
     p = k4_pendant.add_vertex()
     k4_pendant.add_edge(3, p)
-    assert not is_core_member_vertex(k4_pendant, p, DIAMOND)
     assert not is_core_member_edge(k4_pendant, (3, p), DIAMOND)
 
 

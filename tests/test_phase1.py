@@ -2,13 +2,15 @@ from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
+from diamondkernel import phase1
 from diamondkernel.family import FamilySpec
 from diamondkernel.graph import Graph
 from diamondkernel.instances import gen_hard_structure
-from diamondkernel.phase1 import (Instance, replay,
+from diamondkernel.phase1 import (Instance, RuleEvent, replay,
                                   phase1_fixpoint_properties, rule_irrelevant_component,
                                   rule_irrelevant_edge, rule_sunflower, rule_vertex_split,
                                   run_phase1)
+from diamondkernel.phase2 import kernelize
 from diamondkernel.solver import brute_force_min_deletion
 
 from conftest import complete_graph, diamond_graph, path_graph
@@ -66,6 +68,18 @@ def test_sunflower_fires_and_decrements():
     assert brute_force_min_deletion(sunflower_gadget(), DIAMOND, 1) == 1
 
 
+def test_decided_no_keeps_rule_log():
+    # sunflower at budget 0 decides no in phase 1; the log starts with that firing
+    out = kernelize(Instance(sunflower_gadget(), 0, DIAMOND))
+    assert out.decided_no
+    assert out.log.events[0] == RuleEvent("sunflower", (0, 1), 0, -1)
+    # three disjoint diamonds at budget 2: phase 1 is quiet, the packing decides no
+    diamond = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]
+    g = Graph.from_edges(12, [(u + 4 * i, v + 4 * i) for i in range(3) for u, v in diamond])
+    out = kernelize(Instance(g, 2, DIAMOND))
+    assert out.decided_no and out.log is not None and len(out.log) == 0
+
+
 def test_sunflower_threshold_not_met():
     assert rule_sunflower(Instance(diamond_graph(), 1, DIAMOND)) is None
     assert rule_sunflower(Instance(sunflower_gadget(), 2, DIAMOND)) is None
@@ -104,9 +118,12 @@ def test_vertex_split_sibling_distance():
     inst = Instance(g, 1, DIAMOND)
     _, pieces = rule_vertex_split(inst)
     siblings = [new for new, _ in pieces]
+    g = inst.graph
     for a, b in combinations(siblings, 2):
-        dist = inst.graph.distance(a, b)
-        assert dist is None or dist >= 4
+        # distance >= 4: no path of one, two or three edges joins a and b
+        assert not g.has_edge(a, b)
+        assert not g.neighbors(a) & g.neighbors(b)
+        assert not any(g.has_edge(x, y) for x in g.neighbors(a) for y in g.neighbors(b))
 
 
 def test_irrelevant_component_cases():
@@ -139,6 +156,15 @@ def test_phase1_hard_structure_fixed():
     graph_before = inst.graph.copy()
     run_phase1(inst)
     assert inst.graph == graph_before and inst.k == 3
+
+
+def test_rules_table_uses_patched_rules(monkeypatch):
+    # a tracer or an injected fault replaces phase1.rule_* after import
+    calls = []
+    real = phase1.rule_sunflower
+    monkeypatch.setattr(phase1, "rule_sunflower", lambda inst: calls.append(inst.k) or real(inst))
+    _, log = run_phase1(Instance(sunflower_gadget(), 1, DIAMOND))
+    assert calls and log.counts()["sunflower"] == 1
 
 
 def test_rule_log_replays():
