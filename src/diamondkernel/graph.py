@@ -98,6 +98,9 @@ class Graph:
         if v not in self._adj:
             raise UnknownVertexError(v)
 
+    def has_vertex(self, v: int) -> bool:
+        return v in self._adj
+
     @property
     def vertices(self) -> list[int]:
         return sorted(self._adj)
@@ -179,19 +182,24 @@ class Graph:
         seen: set[int] = set()
         components = []
         for start in sorted(self._adj):
-            if start in seen:
-                continue
-            comp = {start}
-            stack = [start]
-            while stack:
-                u = stack.pop()
-                for w in self._adj[u]:
-                    if w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            seen |= comp
-            components.append(comp)
+            if start not in seen:
+                comp = self.component(start)
+                seen |= comp
+                components.append(comp)
         return components
+
+    def component(self, v: int) -> set[int]:
+        """The vertices connected to v, v included."""
+        self._require(v)
+        comp = {v}
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            for w in self._adj[u]:
+                if w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        return comp
 
     def neighborhood_components(self, v: int) -> list[set[int]]:
         """Connected components of g[N(v)], ordered by smallest member id."""

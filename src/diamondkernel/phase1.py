@@ -1,19 +1,23 @@
 """First reduction phase: irrelevant-edge, sunflower, vertex-split, and
 irrelevant-component rules, plus the fixpoint driver.
 
-rules() is the one table of the rules and their priority order; the
-driver restarts from its top after any firing.  Each rule is individually
-decision-preserving, so the order only pins down reproducibility.
+rules() is the one table of the rules and their priority order.  Each
+rule is individually decision-preserving, so the order only pins down
+reproducibility.  The driver fires what rescanning the table from its top
+after every firing would fire, in the same order, but a firing changes
+verdicts only near what it touched, so each rule rescans just the items
+whose verdict may have changed; run_phase1 states the locality facts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from heapq import heapify, heappop
+from typing import Callable, Iterator
 
 from .checks import debug_assertions_enabled, debug_check
 from .family import FamilySpec
-from .graph import Graph
+from .graph import Graph, edge_key
 from .matching import maximum_non_matching_size
 from .patterns import is_core_member_edge, is_family_free
 
@@ -88,12 +92,34 @@ def replay(log: RuleLog, graph: Graph) -> Graph:
 
 
 # -- the four rules ----------------------------------------------------------
+#
+# The edge, split and component rules take an optional scope.  None examines
+# every edge or vertex.  A set is a worklist: the rule takes its items out in
+# ascending order as it examines them, skipping those no longer in the
+# graph, so after a firing the set holds exactly what the rule has not
+# looked at.  Either way the rule fires on the first match in ascending
+# order.  The sunflower rule has no scope: lowering k reopens all of its
+# verdicts, and nothing else raises a sunflower value (see run_phase1).
 
-def rule_irrelevant_edge(inst: Instance) -> tuple[int, int] | None:
+def _drain(scope: set, present: Callable[[object], bool]) -> Iterator:
+    heap = list(scope)
+    heapify(heap)  # linear, and only the items examined are popped
+    while heap:
+        item = heappop(heap)
+        if item in scope:  # the component rule takes out whole components
+            scope.discard(item)
+            if present(item):
+                yield item
+
+
+def rule_irrelevant_edge(inst: Instance,
+                         scope: set[tuple[int, int]] | None = None) -> tuple[int, int] | None:
     """Delete the smallest edge that lies in no family pattern as a subgraph."""
-    for e in list(inst.graph.edges()):
-        if not is_core_member_edge(inst.graph, e, inst.family):
-            inst.graph.remove_edge(*e)
+    g = inst.graph
+    edges = list(g.edges()) if scope is None else _drain(scope, lambda e: g.has_edge(*e))
+    for e in edges:
+        if not is_core_member_edge(g, e, inst.family):
+            g.remove_edge(*e)
             return e
     return None
 
@@ -119,7 +145,8 @@ def rule_sunflower(inst: Instance) -> tuple[int, int] | None:
     return None
 
 
-def rule_vertex_split(inst: Instance) -> tuple[int, tuple[tuple[int, frozenset[int]], ...]] | None:
+def rule_vertex_split(inst: Instance, scope: set[int] | None = None
+                      ) -> tuple[int, tuple[tuple[int, frozenset[int]], ...]] | None:
     """Split the smallest vertex whose neighborhood is disconnected.
 
     One fresh vertex per neighborhood component, adjacent exactly to that
@@ -129,7 +156,8 @@ def rule_vertex_split(inst: Instance) -> tuple[int, tuple[tuple[int, frozenset[i
     the vertex_split event that replay re-applies.
     """
     g = inst.graph
-    for v in g.vertices:
+    candidates = g.vertices if scope is None else _drain(scope, g.has_vertex)
+    for v in candidates:
         components = g.neighborhood_components(v)
         if len(components) < 2:
             continue
@@ -144,17 +172,30 @@ def rule_vertex_split(inst: Instance) -> tuple[int, tuple[tuple[int, frozenset[i
     return None
 
 
-def rule_irrelevant_component(inst: Instance) -> frozenset[int] | None:
-    """Delete the first component that is family-free."""
+def rule_irrelevant_component(inst: Instance,
+                              scope: set[int] | None = None) -> frozenset[int] | None:
+    """Delete the first component that is family-free, by smallest member.
+
+    With a scope, only the components that meet it are examined, in the
+    order of their smallest vertex in it, and each leaves the scope whole.
+    That is the order by smallest member when the scope is a union of
+    components, as the driver's always is.
+    """
     g = inst.graph
-    for component in g.connected_components():
+    if scope is None:
+        components = g.connected_components()
+    else:
+        components = (g.component(v) for v in _drain(scope, g.has_vertex))
+    for component in components:
+        if scope is not None:
+            scope -= component
         if is_family_free(g.induced_subgraph(component), inst.family):
             g.remove_vertices(component)
             return frozenset(component)
     return None
 
 
-def rules() -> tuple[tuple[str, Callable[[Instance], object]], ...]:
+def rules() -> tuple[tuple[str, Callable[..., object]], ...]:
     """The four rules as (name, rule) pairs in priority order.
 
     Built at each call from this module's names, so a rule replaced on the
@@ -168,21 +209,90 @@ def rules() -> tuple[tuple[str, Callable[[Instance], object]], ...]:
 
 # -- fixpoint driver ---------------------------------------------------------
 
+def _edges_near(g: Graph, u: int, v: int) -> set[tuple[int, int]]:
+    """The edges at u or v and those with both ends in N(u) or both in N(v)."""
+    near = set()
+    for w in (u, v):
+        nw = g.neighbors(w)
+        near |= {edge_key(w, x) for x in nw}
+        near |= {(x, y) for x in nw for y in g.neighbors(x) & nw if x < y}
+    return near
+
+
+def _record_firing(scopes: dict[str, set | None], name: str, data, g: Graph) -> None:
+    """Update the scopes after a firing (see run_phase1).
+
+    A set scope of the rule that fired already holds what it did not
+    examine; a None scope becomes the items after the one it fired on.
+    """
+    if name == "sunflower":
+        # its own scope stays None: it fires only from a full scan, and
+        # lowering k reopens every verdict
+        scopes["irrelevant_edge"] = _edges_near(g, *data)
+    elif scopes[name] is None:
+        if name == "irrelevant_edge":
+            scopes[name] = {e for e in g.edges() if e > data}
+        elif name == "vertex_split":
+            scopes[name] = {v for v in g.vertex_set() if v > data[0]}
+        else:
+            first = min(data)
+            scopes[name] = {v for c in g.connected_components() if min(c) > first for v in c}
+
+
 def run_phase1(inst: Instance) -> tuple[Instance, RuleLog]:
     """Exhaustively apply the four rules; mutates and returns inst with the
-    log of every firing, split provenance included."""
+    log of every firing, split provenance included.
+
+    Every firing is the one that rescanning all rules from the top after
+    each firing would make: the smallest non-core edge, else the first
+    sunflower edge, else the smallest vertex with a disconnected
+    neighbourhood, else the first family-free component.  The driver gets
+    there without the rescans.  Each rule keeps a scope, None (everything)
+    at the start: the items it has not examined since its verdict on them
+    could last have changed.  Every item outside the scope is known not to
+    fire, so the rule, which scans its scope in ascending order, fires on
+    the same item as a full scan would.  These locality facts say which
+    firings put items back into which scopes:
+
+    - An irrelevant edge lies in no pattern, so deleting it changes no other
+      edge's core membership.  It raises no sunflower value either: an edge
+      inside N(u) & N(v) would span a K4 with uv, and every other common
+      neighbourhood only loses vertices.
+    - Deleting a sunflower edge uv can change core membership only for
+      edges at u or v and edges with both ends in N(u) or both in N(v).
+      It lowers k, so the sunflower rule scans every edge again; that
+      happens at most k + 1 times.
+    - A vertex split leaves every other vertex's neighbourhood isomorphic,
+      the copy standing in for the split vertex, and each copy's
+      neighbourhood is one connected component.  Core memberships and
+      sunflower values carry over, the copies' edges inheriting those of
+      the edges they replace.  Removing a component changes nothing
+      outside it.
+
+    So once the two edge rules are quiet they stay quiet, and the split
+    and component rules, which run only then, see no edge deletion after
+    their first call: each resumes after the item it last fired on.
+    """
     inst.family.require_kernelizable()
     log = RuleLog()
     edges_in = inst.graph.m
+    table = rules()
+    scopes: dict[str, set | None] = {name: None for name, _ in table}
     while True:
         if debug_assertions_enabled():
             inst.graph.validate()
         k_before = inst.k
-        for name, rule in rules():
-            data = rule(inst)
-            if data is not None:
-                log.append(name, data, k_before, inst.k)
-                break
+        for name, rule in table:
+            scope = scopes[name]
+            if scope is not None and not scope:
+                continue
+            data = rule(inst) if scope is None else rule(inst, scope)
+            if data is None:
+                scopes[name] = set()
+                continue
+            log.append(name, data, k_before, inst.k)
+            _record_firing(scopes, name, data, inst.graph)
+            break
         else:
             break
     debug_check(inst.graph.m <= edges_in, "phase 1 increased the edge count")

@@ -253,6 +253,19 @@ def test_bench_command(tmp_path, capsys):
         assert row["kernel_n"] == k * k + 4 and row["bound_ok"]
     header = open(csv_path).readline()
     assert header.startswith("label,family")
+    assert report["digest"] == "021314c4c348f683991db5b478248785587b5d148671d5410e30e3879098a94e"
+
+
+@pytest.mark.parametrize("family,digest", [
+    ("diamond", "396e922c7f4966f5d1ab3e2b21b52db395108bf11714ccdaacf69e205d8b434e"),
+    ("diamond,k4", "84add75824b512a58c7a2d718ffe0f0e902e9b0cacb7779e03e7b3aba9089c43"),
+], ids=["diamond", "diamond,k4"])
+def test_verify_solver_digests_are_pinned(family, digest, capsys):
+    argv = ["verify", "--trials", "150", "--max-n", "8", "--seed", "3", "--solver",
+            "--family", family]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["result"]["pass"] and report["digest"] == digest
 
 
 def test_report_digest_ignores_timings():

@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 from diamondkernel import phase1
 from diamondkernel.family import FamilySpec
 from diamondkernel.graph import Graph
-from diamondkernel.instances import gen_hard_structure
-from diamondkernel.phase1 import (Instance, RuleEvent, replay,
+from diamondkernel.instances import clique_layout, gen_hard_structure, gen_planted_yes
+from diamondkernel.phase1 import (Instance, RuleEvent, RuleLog, replay, rules,
                                   phase1_fixpoint_properties, rule_irrelevant_component,
                                   rule_irrelevant_edge, rule_sunflower, rule_vertex_split,
                                   run_phase1)
@@ -230,3 +230,82 @@ def test_vertex_split_monotone_progress(inst):
     before = disconnected_count(g)
     if rule_vertex_split(inst) is not None:
         assert disconnected_count(inst.graph) < before
+
+
+# -- the worklist driver against the restart-from-top loop -----------------------
+
+def restart_from_top(inst):
+    """Reference driver: after every firing, scan all rules again from the top."""
+    log = RuleLog()
+    while True:
+        k_before = inst.k
+        for name, rule in rules():
+            data = rule(inst)
+            if data is not None:
+                log.append(name, data, k_before, inst.k)
+                break
+        else:
+            return inst, log
+
+
+PHASE1_FAMILIES = (FamilySpec.diamond(), FamilySpec.diamond_kt(4), FamilySpec.diamond_kt(5))
+
+
+@st.composite
+def phase1_inputs(draw, max_n=10):
+    """Random graphs of three densities, sometimes with a sunflower gadget
+    on fresh vertices linked to them, so that k drops mid-run."""
+    n = draw(st.integers(0, max_n))
+    pairs = list(combinations(range(n), 2))
+    density = draw(st.integers(1, 3))
+    mask = draw(st.lists(st.integers(0, 3), min_size=len(pairs), max_size=len(pairs)))
+    edges = {e for e, r in zip(pairs, mask) if r < density}
+    if draw(st.booleans()):
+        edges |= {(u + n, v + n) for u, v in sunflower_gadget().edges()}
+        if n:
+            edges |= set(draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(n, n + 5)),
+                                       max_size=3)))
+        n += 6
+    k = draw(st.integers(0, 4))
+    return Instance(Graph.from_edges(n, edges), k, draw(st.sampled_from(PHASE1_FAMILIES)))
+
+
+def assert_same_as_restart_from_top(inst):
+    expected, expected_log = restart_from_top(inst.copy())
+    out, log = run_phase1(inst)
+    assert log.events == expected_log.events
+    assert out.graph == expected.graph and out.k == expected.k
+
+
+@settings(max_examples=300, deadline=None)
+@given(phase1_inputs())
+def test_worklist_driver_matches_restart_from_top(inst):
+    assert_same_as_restart_from_top(inst)
+
+
+def test_worklist_driver_matches_after_k_drops():
+    # two disjoint gadgets: at k = 1 the sunflower fires on each, and the
+    # irrelevant edges and components it leaves fire between and after
+    gadget = list(sunflower_gadget().edges())
+    g = Graph.from_edges(12, gadget + [(u + 6, v + 6) for u, v in gadget])
+    for k in range(5):
+        assert_same_as_restart_from_top(Instance(g.copy(), k, DIAMOND))
+    _, log = run_phase1(Instance(g, 1, DIAMOND))
+    assert [ev.k_after for ev in log.events if ev.rule == "sunflower"] == [0, -1]
+    assert log.events[-1].rule == "irrelevant_component"
+
+
+def test_phase1_work_grows_linearly_on_clique_chains(monkeypatch):
+    calls = []
+    real = phase1.is_core_member_edge
+    monkeypatch.setattr(phase1, "is_core_member_edge",
+                        lambda g, e, fam: calls.append(e) or real(g, e, fam))
+    counts = {}
+    for n in (201, 401, 801):
+        inst = gen_planted_yes(clique_layout([6] * ((n - 1) // 5), "chain"), n // 100, 1)
+        assert inst.graph.n == n
+        calls.clear()
+        run_phase1(inst)
+        counts[n] = len(calls)
+        assert counts[n] <= 25 * n
+    assert counts[801] <= 2.5 * counts[401]
