@@ -6,10 +6,10 @@ are excluded), so a command repeated with the same flags and seed produces
 byte-identical instance files and the same digest.
 
 Exit codes: 0 success / feasible / kernelized, 10 decided-no / infeasible,
-2 usage or parse error, 3 size-guard refusal, 1 when verify finds a failed
-check or bench a kernel over its bound.  Arguments are range-checked by
-argparse, so any other exception is a fault of the program and ends the
-run with its traceback (also exit 1).
+2 usage or parse error, 3 size-guard refusal, 1 when verify or solve
+--verify finds a failed check or bench a kernel over its bound.  Arguments
+are range-checked by argparse, so any other exception is a fault of the
+program and ends the run with its traceback (also exit 1).
 """
 
 from __future__ import annotations
@@ -125,6 +125,7 @@ def cmd_solve(args) -> int:
         "feasible": feasible,
         "timings": {"total": round(elapsed, 6)},
     }
+    verified = True
     if args.engine == "branching":
         report["nodes"] = sol.nodes
         if feasible:
@@ -134,10 +135,12 @@ def cmd_solve(args) -> int:
                 h = inst.graph.copy()
                 for u, v in edges:
                     h.remove_edge(u, v)
-                report["verified_family_free"] = is_family_free(h, inst.family)
+                verified = report["verified_family_free"] = is_family_free(h, inst.family)
     else:
         report["minimum"] = best
     _emit_report(report, args.report)
+    if not verified:
+        return 1
     return EXIT_OK if feasible else EXIT_NO
 
 

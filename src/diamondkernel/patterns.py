@@ -22,12 +22,27 @@ iter_*_occurrences enumerators, which stay as the reference:
   contains a vertex at least that large as its smallest.
 * iter_clique_occurrences yields ascending tuples, so its first
   occurrence is the minimum.
+
+OccurrenceIndex stores that per-edge first occurrence for every edge, so
+the minimum over its entries is the scan's answer.  Whether xy centres an
+s-diamond, and which comes first, depends only on G[{x, y} | N(x) & N(y)].
+Toggling uv changes that only for uv, for the edges from u or v into
+C = N(u) & N(v) (their common neighbourhood gains or loses v or u), and
+for the edges inside C (u and v turn adjacent or not in theirs).
+Re-adding the edge removed last puts back the entries its removal
+replaced.  A growing mask A narrows each pool to the z with xz, yz outside
+A: an entry whose edges miss the new edges is still in the narrower pool,
+hence still first, so only entries that meet them are recomputed, and
+masked answers equal the scan's under A.  K_t items have no index:
+first() falls back to iter_clique_occurrences when no s-diamond is left.
 """
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import attrgetter
 from typing import Iterator
 
 from .checks import debug_check, debug_assertions_enabled
@@ -88,27 +103,31 @@ def _first_independent_subset(g: Graph, pool: set[int], size: int) -> tuple[int,
     return None
 
 
+def _first_centred(g: Graph, x: int, y: int, s: int, avoid: frozenset | set | tuple,
+                   bound: int | None = None) -> PatternOccurrence | None:
+    """The first induced s-diamond with middle edge xy and no edge in avoid,
+    or None; also None when its smallest vertex would exceed bound."""
+    common = g.neighbors(x) & g.neighbors(y)
+    if avoid:
+        if (x, y) in avoid:
+            return None
+        common = {z for z in common
+                  if edge_key(x, z) not in avoid and edge_key(y, z) not in avoid}
+    if len(common) <= s or (bound is not None and min(x, min(common)) > bound):
+        return None
+    group = _first_independent_subset(g, common, s + 1)
+    return None if group is None else _sdiamond_occurrence(x, y, group, s)
+
+
 def _first_sdiamond_occurrence(g: Graph, s: int,
                                avoid_edges: frozenset | set | None) -> PatternOccurrence | None:
     """min(iter_sdiamond_occurrences(g, s, avoid_edges), key=vertices), found directly."""
     avoid = avoid_edges or ()
     best: PatternOccurrence | None = None
     for x, y in g.edges():
-        if (x, y) in avoid:
-            continue
-        common = g.neighbors(x) & g.neighbors(y)
-        if avoid:
-            common = {z for z in common
-                      if edge_key(x, z) not in avoid and edge_key(y, z) not in avoid}
-        if len(common) < s + 1:
-            continue
-        if best is not None and min(x, min(common)) > best.vertices[0]:
-            continue
-        group = _first_independent_subset(g, common, s + 1)
-        if group is not None:
-            occ = _sdiamond_occurrence(x, y, group, s)
-            if best is None or occ.vertices < best.vertices:
-                best = occ
+        occ = _first_centred(g, x, y, s, avoid, best.vertices[0] if best is not None else None)
+        if occ is not None and (best is None or occ.vertices < best.vertices):
+            best = occ
     return best
 
 
@@ -158,7 +177,8 @@ def _iter_occurrences(g: Graph, fam: FamilySpec,
 
 
 def find_induced_occurrence(g: Graph, fam: FamilySpec,
-                            avoid_edges: frozenset | set | None = None) -> PatternOccurrence | None:
+                            avoid_edges: frozenset | set | None = None,
+                            index: "OccurrenceIndex | None" = None) -> PatternOccurrence | None:
     """Lexicographically first induced occurrence of any pattern in fam.
 
     s-diamond items are searched before clique items; within an item the
@@ -166,7 +186,13 @@ def find_induced_occurrence(g: Graph, fam: FamilySpec,
     restricts the search to occurrences edge-disjoint from that set.  The
     answer equals the minimum over the iter_*_occurrences enumerators; see
     the module docstring for why the shortcuts taken here are exact.
+    index, an OccurrenceIndex of g and fam, gives the same answer without
+    the scan, under its own mask in place of avoid_edges.
     """
+    if index is not None:
+        if avoid_edges:
+            raise ValueError("an indexed search takes its mask from the index")
+        return index.first()
     if fam.sdiamond is not None:
         best = _first_sdiamond_occurrence(g, fam.sdiamond, avoid_edges)
         if best is not None:
@@ -174,6 +200,88 @@ def find_induced_occurrence(g: Graph, fam: FamilySpec,
     if fam.clique is not None:
         return next(iter_clique_occurrences(g, fam.clique, avoid_edges), None)
     return None
+
+
+class OccurrenceIndex:
+    """The first induced s-diamond centred on each edge of g, kept current
+    while g changes through remove_edge and add_edge and while the avoid
+    mask grows through mask.  first() is find_induced_occurrence(g, fam,
+    avoid) at every moment; the module docstring says why.
+
+    A copy shares g and owns its entries and mask; only one of the two may
+    change g afterwards.
+    """
+
+    def __init__(self, g: Graph, fam: FamilySpec) -> None:
+        self.g = g
+        self.fam = fam
+        self.avoid: set[tuple[int, int]] = set()
+        self._at: dict[tuple[int, int], PatternOccurrence] = {}
+        self._undo: list[tuple[tuple[int, int], dict]] = []
+        if fam.sdiamond is not None:
+            self._refresh(g.edges(), {})
+
+    def _refresh(self, pairs, saved: dict) -> None:
+        at, g, s, avoid = self._at, self.g, self.fam.sdiamond, self.avoid
+        for p in pairs:
+            saved.setdefault(p, at.get(p))
+            occ = _first_centred(g, *p, s, avoid) if g.has_edge(*p) else None
+            if occ is None:
+                at.pop(p, None)
+            else:
+                at[p] = occ
+
+    def _toggled(self, u: int, v: int) -> dict:
+        """Refresh the entries pair uv can change; returns their old values."""
+        saved: dict = {}
+        if self.fam.sdiamond is not None:
+            common = sorted(self.g.neighbors(u) & self.g.neighbors(v))
+            self._refresh([edge_key(u, v)]
+                          + [edge_key(w, c) for w in (u, v) for c in common]
+                          + list(combinations(common, 2)), saved)
+        return saved
+
+    def remove_edge(self, u: int, v: int) -> None:
+        if not self.g.has_edge(u, v):
+            raise ValueError(f"no edge {u}-{v} to remove")
+        self.g.remove_edge(u, v)
+        self._undo.append((edge_key(u, v), self._toggled(u, v)))
+
+    def add_edge(self, u: int, v: int) -> None:
+        self.g.add_edge(u, v)
+        if not self._undo or self._undo[-1][0] != edge_key(u, v):
+            self._undo.clear()
+            self._toggled(u, v)
+            return
+        # the last change was removing uv: put back the entries it replaced
+        for p, occ in self._undo.pop()[1].items():
+            if occ is None:
+                self._at.pop(p, None)
+            else:
+                self._at[p] = occ
+
+    def mask(self, edges: set[tuple[int, int]]) -> None:
+        """Add edges to the avoid mask; only entries that meet them change."""
+        self.avoid |= edges
+        self._undo.clear()
+        self._refresh([key for key, occ in self._at.items()
+                       if not occ.edges.isdisjoint(edges)], {})
+
+    def copy(self) -> "OccurrenceIndex":
+        twin = copy(self)
+        twin.avoid = set(self.avoid)
+        twin._at = dict(self._at)
+        twin._undo = []
+        return twin
+
+    def first(self) -> PatternOccurrence | None:
+        occ = min(self._at.values(), key=attrgetter("vertices"), default=None)
+        if occ is None and self.fam.clique is not None:
+            occ = next(iter_clique_occurrences(self.g, self.fam.clique, self.avoid), None)
+        if debug_assertions_enabled():
+            debug_check(occ == find_induced_occurrence(self.g, self.fam, self.avoid),
+                        "the occurrence index disagrees with the scan")
+        return occ
 
 
 def is_family_free(g: Graph, fam: FamilySpec) -> bool:
@@ -254,15 +362,17 @@ def max_edges_per_occurrence(fam: FamilySpec) -> int:
 
 def greedy_packing(g: Graph, k: int, fam: FamilySpec,
                    fixed: frozenset | set | None = None,
-                   first: PatternOccurrence | None = None) -> PackingResult:
+                   index: OccurrenceIndex | None = None) -> PackingResult:
     """Pack induced occurrences of fam in g with pairwise disjoint unfixed edges.
 
     fixed is a set of edges that may not be deleted; occurrences may share
     fixed edges, and only unfixed edges enter packing_edges, the avoid set
     of the next search.  An occurrence with only fixed edges can never be
-    hit, so finding one stops with budget_exceeded.  first, when given, must
-    be find_induced_occurrence(g, fam), and saves that search.  With
-    neither argument every edge is unfixed and the packing is edge-disjoint.
+    hit, so finding one stops with budget_exceeded.  index, when given, is
+    an OccurrenceIndex of g and fam with an empty mask; the packing masks a
+    copy of it, so the caller's index is left as it was.  Without it the
+    packing builds its own.  With no fixed edges the packing is
+    edge-disjoint.
 
     Each iteration takes the lexicographically first induced occurrence of
     g that shares no edge with packing_edges.  Stops with budget_exceeded
@@ -276,16 +386,18 @@ def greedy_packing(g: Graph, k: int, fam: FamilySpec,
     instances to no.
     """
     fixed = fixed or ()
+    work = index.copy() if index is not None else OccurrenceIndex(g, fam)
     packing_edges: set[tuple[int, int]] = set()
     occurrences: list[PatternOccurrence] = []
-    occ = first if first is not None else find_induced_occurrence(g, fam)
+    occ = work.first()
     while occ is not None:
         occurrences.append(occ)
         unfixed = occ.edges.difference(fixed)
         if not unfixed or len(occurrences) >= k + 1:
             return PackingResult(True, packing_edges | unfixed, occurrences)
         packing_edges |= unfixed
-        occ = find_induced_occurrence(g, fam, avoid_edges=packing_edges)
+        work.mask(unfixed)
+        occ = work.first()
     result = PackingResult(False, packing_edges, occurrences)
     debug_check(len(packing_edges) <= max_edges_per_occurrence(fam) * max(k, 0),
                 "packing edge count exceeds the per-occurrence bound")

@@ -25,7 +25,8 @@ from .checks import debug_check
 from .errors import DiamondKernelError, GuardError
 from .family import FamilySpec
 from .graph import Graph, edge_key
-from .patterns import find_induced_occurrence, greedy_packing, max_edges_per_occurrence
+from .patterns import (OccurrenceIndex, find_induced_occurrence, greedy_packing,
+                       max_edges_per_occurrence)
 from .phase1 import Instance
 
 DEFAULT_ORACLE_CAP = 10_000_000
@@ -111,17 +112,19 @@ def solve_branching(inst: Instance) -> Solution:
       A solution must delete an unfixed edge of every induced occurrence,
       so a node fails when an occurrence has only fixed edges, or when
       budget + 1 occurrences have pairwise disjoint unfixed edges
-      (greedy_packing with fixed and first).  Such a node holds no
-      solution, so the first solution is again untouched.
+      (greedy_packing with fixed).  Such a node holds no solution, so the
+      first solution is again untouched.
 
-    Each node makes exactly one occurrence search through this module's
-    find_induced_occurrence; the packing searches go through patterns.
-    The returned Solution carries the node count.
+    One OccurrenceIndex follows every deletion and restoration, so no node
+    rescans the graph.  Each node asks it for the first occurrence exactly
+    once, through this module's find_induced_occurrence, and the packing
+    masks a copy of it.  The returned Solution carries the node count.
     """
     if inst.k < 0:
         return Solution.infeasible()
     g = inst.graph.copy()
     fam = inst.family
+    index = OccurrenceIndex(g, fam)
     branch_cap = max_edges_per_occurrence(fam)
     deleted: list[tuple[int, int]] = []
     fixed: set[tuple[int, int]] = set()
@@ -130,21 +133,21 @@ def solve_branching(inst: Instance) -> Solution:
     def dfs(budget: int) -> bool:
         nonlocal nodes
         nodes += 1
-        occ = find_induced_occurrence(g, fam)
+        occ = find_induced_occurrence(g, fam, index=index)
         if occ is None:
             return True
         if budget == 0:
             return False
-        if greedy_packing(g, budget, fam, fixed=fixed, first=occ).budget_exceeded:
+        if greedy_packing(g, budget, fam, fixed=fixed, index=index).budget_exceeded:
             return False
         edges = sorted(occ.edges - fixed)
         debug_check(len(edges) <= branch_cap, "branching factor above the family bound")
         for e in edges:
-            g.remove_edge(*e)
+            index.remove_edge(*e)
             deleted.append(e)
             if dfs(budget - 1):
                 return True
-            g.add_edge(*e)
+            index.add_edge(*e)
             deleted.pop()
             fixed.add(e)
         fixed.difference_update(edges)

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from diamondkernel import phase1
+from diamondkernel import cli, phase1
 from diamondkernel.cli import main, report_digest
 from diamondkernel.errors import ParseError
 from diamondkernel.family import FamilySpec
@@ -11,6 +11,7 @@ from diamondkernel.graph import Graph
 from diamondkernel.harness import verify_rule_safety
 from diamondkernel.io import MAX_VERTICES, parse_instance, serialize_instance
 from diamondkernel.phase1 import Instance
+from diamondkernel.solver import Solution
 
 from conftest import diamond_graph
 
@@ -112,6 +113,18 @@ def test_solve_exit_codes(tmp_path, capsys):
 
     c4 = write(tmp_path, "c4.txt", "p dfed 4 4 0 diamond\ne 0 1\ne 1 2\ne 2 3\ne 0 3\n")
     assert main(["solve", "-i", c4]) == 0
+
+
+def test_solve_verify_failure_exits_1(tmp_path, capsys, monkeypatch):
+    # a "solution" deleting the non-edge 0-3 leaves the diamond in place
+    monkeypatch.setattr(cli, "solve_branching", lambda inst: Solution.of([(0, 3)], 1))
+    path = write(tmp_path, "d.txt", DIAMOND_FILE)
+    assert main(["solve", "-i", path]) == 0
+    capsys.readouterr()
+    assert main(["solve", "-i", path, "--verify"]) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["verified_family_free"] is False
+    assert "Traceback" not in captured.err
 
 
 def test_solve_brute_engines(tmp_path, capsys):
@@ -266,6 +279,26 @@ def test_verify_solver_digests_are_pinned(family, digest, capsys):
     assert main(argv) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["result"]["pass"] and report["digest"] == digest
+
+
+@pytest.mark.parametrize("gnp,exit_code,digest", [
+    (("5", "0.3", "1", "2"), 0,
+     "ae135a8d7c4ab0859abac362e60f812e1cf7c184c38eea7567de3d1f7b143895"),
+    (("7", "0.4", "2", "2"), 10,
+     "1108c6b11cd794faa6174374ed2df6438b5cafcabc13d6523c6fdeadd80f99f6"),
+    (("7", "0.4", "3", "2"), 0,
+     "ff7085ece36430c70adfd5a10296e1d9a1e940d647689175da8c6186658444a4"),
+], ids=["yes-18-nodes", "no-519-nodes", "yes-3525-nodes"])
+def test_solve_reduced_vc_digests_are_pinned(gnp, exit_code, digest, tmp_path, capsys):
+    # the digest covers the node count and the deletion set, so the search
+    # tree and the solution it returns are both pinned
+    n, p, k, seed = gnp
+    vc, red = str(tmp_path / "vc.txt"), str(tmp_path / "red.txt")
+    assert main(["generate", "gnp", "--n", n, "--p", p, "--k", k, "--seed", seed,
+                 "-o", vc]) == 0
+    assert main(["generate", "reduce-vc", "-i", vc, "-o", red]) == 0
+    assert main(["solve", "-i", red, "--verify"]) == exit_code
+    assert json.loads(capsys.readouterr().out)["digest"] == digest
 
 
 def test_report_digest_ignores_timings():

@@ -6,8 +6,9 @@ from hypothesis import given, settings, strategies as st
 from diamondkernel.errors import FamilyError, NotDiamondFreeError
 from diamondkernel.family import FamilySpec
 from diamondkernel.graph import Graph, edge_key
-from diamondkernel.patterns import (clique_partition, find_induced_occurrence,
-                                    greedy_packing, is_core_member_edge, is_family_free,
+from diamondkernel.patterns import (OccurrenceIndex, clique_partition,
+                                    find_induced_occurrence, greedy_packing,
+                                    is_core_member_edge, is_family_free,
                                     iter_clique_occurrences, iter_sdiamond_occurrences)
 from diamondkernel.solver import has_induced_pattern_naive
 from diamondkernel.instances import gen_hard_structure
@@ -268,10 +269,79 @@ def _edge_disjoint_packing(g, k, fam):
 def test_packing_defaults_are_edge_disjoint_packing(g, k):
     for fam in (DIAMOND, FamilySpec.s_diamond(2), FamilySpec.diamond_kt(4)):
         expected = _edge_disjoint_packing(g, k, fam)
-        first = find_induced_occurrence(g, fam)
         for res in (greedy_packing(g, k, fam),
-                    greedy_packing(g, k, fam, fixed=set(), first=first)):
+                    greedy_packing(g, k, fam, fixed=set(), index=OccurrenceIndex(g, fam))):
             assert (res.budget_exceeded, res.packing_edges, res.occurrences) == expected
+
+
+def test_occurrence_index_refuses_ambiguous_requests():
+    g = diamond_graph()
+    index = OccurrenceIndex(g, DIAMOND)
+    with pytest.raises(ValueError):   # the mask belongs to the index
+        find_induced_occurrence(g, DIAMOND, {(1, 2)}, index=index)
+    with pytest.raises(ValueError):   # re-adding it would restore wrong entries
+        index.remove_edge(0, 3)
+    assert index.first() == find_induced_occurrence(g, DIAMOND)
+
+
+def _assert_peels_like_the_scan(index, g, fam, avoid):
+    """Peel a copy of index, masking each first occurrence's edges, and
+    compare every answer with the scan under the same mask."""
+    probe, avoid = index.copy(), set(avoid)
+    while True:
+        occ = probe.first()
+        assert occ == find_induced_occurrence(g, fam, avoid)
+        if occ is None:
+            return
+        avoid |= occ.edges
+        probe.mask(set(occ.edges))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graphs(12), st.sampled_from((DIAMOND, FamilySpec.s_diamond(2),
+                                          FamilySpec.diamond_kt(4))),
+       st.integers(0, 3), st.data())
+def test_occurrence_index_follows_toggles_and_masks(g, fam, k, data):
+    # one index takes toggles and a growing mask, a second takes the same
+    # toggles only and backs the packing; each has its own copy of the graph
+    masked_g, plain_g = g.copy(), g.copy()
+    masked, plain = OccurrenceIndex(masked_g, fam), OccurrenceIndex(plain_g, fam)
+    pairs = list(combinations(g.vertices, 2))
+    avoid, removed = set(), []
+    for _ in range(data.draw(st.integers(0, 12))):
+        step = data.draw(st.sampled_from(("toggle", "restore", "mask")))
+        if step == "mask" and masked_g.m:
+            new = set(data.draw(st.lists(st.sampled_from(sorted(masked_g.edges())),
+                                         max_size=3)))
+            avoid |= new
+            masked.mask(new)
+        elif pairs:
+            # "restore" re-adds the last removed pair, as the solver does
+            pair = removed.pop() if step == "restore" and removed else \
+                data.draw(st.sampled_from(pairs))
+            if plain_g.has_edge(*pair):
+                removed.append(pair)
+            for h, index in ((masked_g, masked), (plain_g, plain)):
+                (index.remove_edge if h.has_edge(*pair) else index.add_edge)(*pair)
+        assert masked.first() == find_induced_occurrence(masked_g, fam, avoid) == \
+            enumerated_minimum(masked_g, fam, avoid)
+        _assert_peels_like_the_scan(masked, masked_g, fam, avoid)
+        assert find_induced_occurrence(plain_g, fam, index=plain) == \
+            enumerated_minimum(plain_g, fam, None)
+        fixed = set(data.draw(st.lists(st.sampled_from(sorted(plain_g.edges())),
+                                       max_size=4))) if plain_g.m else set()
+        # budget m packs until the packing is maximal
+        for budget in (k, plain_g.m):
+            for fx in (None, fixed):
+                with_index, without = (greedy_packing(plain_g, budget, fam, fixed=fx,
+                                                      index=index)
+                                       for index in (plain, None))
+                got = (with_index.budget_exceeded, with_index.packing_edges,
+                       with_index.occurrences)
+                assert got == (without.budget_exceeded, without.packing_edges,
+                               without.occurrences)
+                if fx is None:
+                    assert got == _edge_disjoint_packing(plain_g, budget, fam)
 
 
 # -- clique partitioning ----------------------------------------------------------------

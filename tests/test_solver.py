@@ -68,10 +68,18 @@ def test_branching_node_count_regression(monkeypatch):
     searches = []
     real = solver.find_induced_occurrence
     monkeypatch.setattr(solver, "find_induced_occurrence",
-                        lambda g, fam: searches.append(1) or real(g, fam))
+                        lambda *a, **kw: searches.append(1) or real(*a, **kw))
     sol = solve_branching(inst)
     assert not sol.feasible
     assert sol.nodes == len(searches) <= 1_000
+
+
+def test_branching_node_count_is_pinned():
+    # the same no-instance as above: the pruned search tree has exactly 382 nodes
+    g0 = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
+    inst, _ = reduce_vc_to_sdfed(g0, 2)
+    sol = solve_branching(inst)
+    assert not sol.feasible and sol.nodes == 382
 
 
 def _unpruned_deletion_set(g: Graph, fam: FamilySpec, k: int):
