@@ -132,10 +132,21 @@ def cmd_solve(args) -> int:
             edges = sorted(sol.delete_set)
             report["delete_edges"] = [[u, v] for u, v in edges]
             if args.verify:
+                # a valid set names only edges of the input, at most k of
+                # them, and leaves the graph family-free; a failed check
+                # adds its key (non_edges, over_budget) to the report
                 h = inst.graph.copy()
+                non_edges = [[u, v] for u, v in edges if not h.has_edge(u, v)]
                 for u, v in edges:
-                    h.remove_edge(u, v)
-                verified = report["verified_family_free"] = is_family_free(h, inst.family)
+                    if h.has_edge(u, v):
+                        h.remove_edge(u, v)
+                report["verified_family_free"] = is_family_free(h, inst.family)
+                if non_edges:
+                    report["non_edges"] = non_edges
+                if len(edges) > inst.k:
+                    report["over_budget"] = len(edges) - inst.k
+                verified = report["verified_family_free"] and not non_edges \
+                    and len(edges) <= inst.k
     else:
         report["minimum"] = best
     _emit_report(report, args.report)

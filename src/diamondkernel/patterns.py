@@ -23,6 +23,18 @@ iter_*_occurrences enumerators, which stay as the reference:
 * iter_clique_occurrences yields ascending tuples, so its first
   occurrence is the minimum.
 
+Only centre_edges(g) are examined, by the scan, the index build and the
+sunflower rule.  If G[N(x)] is a disjoint union of cliques, then for every
+y in N(x) the set N(x) & N(y) is y's clique minus y, itself a clique, so no
+edge at x is the middle edge of an s-diamond for any s >= 1 (the local
+characterisation of Fellows, Guo, Komusiewicz, Niedermeier & Uhlmann,
+Discrete Optimization 2011).  The ends of a middle edge are adjacent to
+each other and to s + 1 >= 2 more vertices, so their degree is at least 3
+and dropping edges at vertices of degree <= 2 is exact too.  In a graph
+made of large cliques almost every edge drops out.  The index's toggle and
+mask refreshes are local already and stay unfiltered, and so does
+iter_sdiamond_occurrences, the reference the tests compare with.
+
 OccurrenceIndex stores that per-edge first occurrence for every edge, so
 the minimum over its entries is the scan's answer.  Whether xy centres an
 s-diamond, and which comes first, depends only on G[{x, y} | N(x) & N(y)].
@@ -119,12 +131,40 @@ def _first_centred(g: Graph, x: int, y: int, s: int, avoid: frozenset | set | tu
     return None if group is None else _sdiamond_occurrence(x, y, group, s)
 
 
+def _clusters_neighbourhood(g: Graph, x: int) -> bool:
+    """True iff G[N(x)] is a disjoint union of cliques."""
+    nx = g.neighbors(x)
+    rest = set(nx)
+    while rest:
+        y = rest.pop()
+        others = g.neighbors(y) & nx
+        block = others | {y}
+        if any((g.neighbors(z) & nx) | {z} != block for z in others):
+            return False
+        rest -= others
+    return True
+
+
+def centre_edges(g: Graph) -> list[tuple[int, int]]:
+    """The edges of g, in g.edges() order, that may be the middle edge of
+    an s-diamond: both ends have degree > 2 and an unclustered neighbourhood."""
+    centres = {v for v in g.vertex_set()
+               if g.degree(v) > 2 and not _clusters_neighbourhood(g, v)}
+    kept = sorted((x, y) for x in centres for y in g.neighbors(x) & centres if x < y)
+    if debug_assertions_enabled():
+        for x, y in g.edge_set().difference(kept):
+            common = g.neighbors(x) & g.neighbors(y)
+            debug_check(all(common - {z} <= g.neighbors(z) for z in common),
+                        f"edge {x}-{y} left out, but its common neighbourhood has a non-edge")
+    return kept
+
+
 def _first_sdiamond_occurrence(g: Graph, s: int,
                                avoid_edges: frozenset | set | None) -> PatternOccurrence | None:
     """min(iter_sdiamond_occurrences(g, s, avoid_edges), key=vertices), found directly."""
     avoid = avoid_edges or ()
     best: PatternOccurrence | None = None
-    for x, y in g.edges():
+    for x, y in centre_edges(g):
         occ = _first_centred(g, x, y, s, avoid, best.vertices[0] if best is not None else None)
         if occ is not None and (best is None or occ.vertices < best.vertices):
             best = occ
@@ -219,7 +259,7 @@ class OccurrenceIndex:
         self._at: dict[tuple[int, int], PatternOccurrence] = {}
         self._undo: list[tuple[tuple[int, int], dict]] = []
         if fam.sdiamond is not None:
-            self._refresh(g.edges(), {})
+            self._refresh(centre_edges(g), {})
 
     def _refresh(self, pairs, saved: dict) -> None:
         at, g, s, avoid = self._at, self.g, self.fam.sdiamond, self.avoid

@@ -19,7 +19,7 @@ from .checks import debug_assertions_enabled, debug_check
 from .family import FamilySpec
 from .graph import Graph, edge_key
 from .matching import maximum_non_matching_size
-from .patterns import is_core_member_edge, is_family_free
+from .patterns import centre_edges, is_core_member_edge, is_family_free
 
 
 @dataclass
@@ -129,12 +129,14 @@ def rule_sunflower(inst: Instance) -> tuple[int, int] | None:
     size at least k+1, and decrement k.
 
     Evaluated against the current k.  Requires k >= 0 to fire, so k bottoms
-    out at -1 (the decided-no marker).
+    out at -1 (the decided-no marker).  Only patterns.centre_edges are
+    examined: every other edge has a clique as its common neighborhood, so
+    its non-matching is 0 < k+1.
     """
     if inst.k < 0:
         return None
     g = inst.graph
-    for x, y in list(g.edges()):
+    for x, y in centre_edges(g):
         common = g.neighbors(x) & g.neighbors(y)
         if len(common) < 2:
             continue

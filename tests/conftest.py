@@ -56,6 +56,27 @@ def petersen_graph() -> Graph:
     return Graph.from_edges(10, outer + inner + spokes)
 
 
+def apex_gadgets(copies: int, clique: int) -> tuple[Graph, list[tuple[int, int]]]:
+    """Disjoint copies of a clique joined to an adjacent apex pair a, b,
+    plus pendants p, q with edges ap, aq, bp, pq; also the edges ab, ap, bp
+    of every copy, whose ends are the only vertices of degree > 2 whose
+    neighbourhood is not a disjoint union of cliques."""
+    g = Graph()
+    centres = []
+    for _ in range(copies):
+        members = [g.add_vertex() for _ in range(clique)]
+        a, b, p, q = (g.add_vertex() for _ in range(4))
+        for u, v in combinations(members, 2):
+            g.add_edge(u, v)
+        for v in members:
+            g.add_edge(v, a)
+            g.add_edge(v, b)
+        for u, v in ((a, b), (a, p), (a, q), (b, p), (p, q)):
+            g.add_edge(u, v)
+        centres += [(a, b), (a, p), (b, p)]
+    return g, centres
+
+
 # -- test-local oracles ----------------------------------------------------------
 
 def brute_force_matching_size(g: Graph) -> int:

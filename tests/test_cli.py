@@ -127,6 +127,23 @@ def test_solve_verify_failure_exits_1(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("k, edges, failed", [
+    (2, [(1, 2), (0, 3)], {"non_edges": [[0, 3]]}),   # the middle edge and a non-edge
+    (1, [(0, 1), (1, 2)], {"over_budget": 1}),        # k + 1 real edges
+])
+def test_solve_verify_rejects_invalid_sets(k, edges, failed, tmp_path, capsys, monkeypatch):
+    # each set leaves the diamond family-free, yet is no solution at budget k
+    monkeypatch.setattr(cli, "solve_branching", lambda inst: Solution.of(edges, 1))
+    path = write(tmp_path, "d.txt", DIAMOND_FILE.replace("4 5 1", f"4 5 {k}"))
+    assert main(["solve", "-i", path, "--verify"]) == 1
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["verified_family_free"] is True
+    assert {key: report.get(key) for key in ("non_edges", "over_budget")} == \
+        {"non_edges": None, "over_budget": None, **failed}
+    assert "Traceback" not in captured.err
+
+
 def test_solve_brute_engines(tmp_path, capsys):
     path = write(tmp_path, "d.txt", DIAMOND_FILE)
     assert main(["solve", "-i", path, "--engine", "brute"]) == 0

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from diamondkernel.errors import FamilyError, NotDiamondFreeError
 from diamondkernel.family import FamilySpec
 from diamondkernel.graph import Graph, edge_key
-from diamondkernel.patterns import (OccurrenceIndex, clique_partition,
-                                    find_induced_occurrence, greedy_packing,
+from diamondkernel.patterns import (OccurrenceIndex, _clusters_neighbourhood, centre_edges,
+                                    clique_partition, find_induced_occurrence, greedy_packing,
                                     is_core_member_edge, is_family_free,
                                     iter_clique_occurrences, iter_sdiamond_occurrences)
 from diamondkernel.solver import has_induced_pattern_naive
@@ -122,6 +122,33 @@ def test_first_occurrence_equals_enumerated_minimum(g, data):
         for avoid_edges in (None, avoid):
             assert find_induced_occurrence(g, fam, avoid_edges) == \
                 enumerated_minimum(g, fam, avoid_edges)
+
+
+def has_induced_p3_around(g, v):
+    """Brute force: some y, z, w in N(v) with yz, zw edges and yw a non-edge."""
+    return any(g.has_edge(y, z) and g.has_edge(z, w) and not g.has_edge(y, w)
+               for y, w in combinations(sorted(g.neighbors(v)), 2)
+               for z in g.neighbors(v) - {y, w})
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs(9))
+def test_centre_edges_keep_every_possible_middle_edge(g):
+    for v in g.vertices:
+        assert _clusters_neighbourhood(g, v) == (not has_induced_p3_around(g, v))
+    kept = centre_edges(g)
+    assert kept == [e for e in g.edges() if e in set(kept)]
+    for s in (1, 2):
+        for occ in iter_sdiamond_occurrences(g, s):
+            # the middle edge is the one pair adjacent to every other vertex
+            middle = [e for e in occ.edges
+                      if all(edge_key(u, w) in occ.edges
+                             for u in e for w in occ.vertices if w not in e)]
+            assert len(middle) == 1 and middle[0] in kept
+    for x, y in g.edges():
+        common = g.neighbors(x) & g.neighbors(y)
+        if any(not g.has_edge(a, b) for a, b in combinations(common, 2)):
+            assert (x, y) in kept
 
 
 # -- core membership -----------------------------------------------------------------

@@ -10,10 +10,12 @@ from diamondkernel.phase1 import (Instance, RuleEvent, RuleLog, replay, rules,
                                   phase1_fixpoint_properties, rule_irrelevant_component,
                                   rule_irrelevant_edge, rule_sunflower, rule_vertex_split,
                                   run_phase1)
+from diamondkernel.matching import maximum_non_matching_size
+from diamondkernel.patterns import centre_edges
 from diamondkernel.phase2 import kernelize
 from diamondkernel.solver import brute_force_min_deletion
 
-from conftest import complete_graph, diamond_graph, path_graph
+from conftest import apex_gadgets, complete_graph, diamond_graph, path_graph
 
 DIAMOND = FamilySpec.diamond()
 
@@ -293,6 +295,51 @@ def test_worklist_driver_matches_after_k_drops():
     _, log = run_phase1(Instance(g, 1, DIAMOND))
     assert [ev.k_after for ev in log.events if ev.rule == "sunflower"] == [0, -1]
     assert log.events[-1].rule == "irrelevant_component"
+
+
+def sunflower_by_full_scan(inst):
+    """The sunflower rule's verdict from every edge in order, unfiltered."""
+    if inst.k < 0:
+        return None
+    g = inst.graph
+    for x, y in list(g.edges()):
+        common = g.neighbors(x) & g.neighbors(y)
+        if len(common) >= 2 and maximum_non_matching_size(g, common) >= inst.k + 1:
+            return (x, y)
+    return None
+
+
+def assert_sunflower_fires_like_full_scan(inst):
+    while True:
+        expected, k_after = sunflower_by_full_scan(inst), inst.k
+        if expected is not None:
+            k_after -= 1
+        assert rule_sunflower(inst) == expected and inst.k == k_after
+        if expected is None:
+            return
+
+
+@settings(max_examples=200, deadline=None)
+@given(phase1_inputs())
+def test_sunflower_fires_like_full_scan(inst):
+    assert_sunflower_fires_like_full_scan(inst)
+
+
+def test_sunflower_fires_like_full_scan_on_gadget():
+    for k in range(-1, 4):
+        assert_sunflower_fires_like_full_scan(Instance(sunflower_gadget(), k, DIAMOND))
+
+
+def test_sunflower_examines_only_centre_edges_on_apex_gadget(monkeypatch):
+    g, centres = apex_gadgets(3, 16)
+    assert g.m == 471 and centre_edges(g) == centres
+    calls = []
+    monkeypatch.setattr(phase1, "maximum_non_matching_size",
+                        lambda g, vs: calls.append(vs) or maximum_non_matching_size(g, vs))
+    # every common neighbourhood has a non-matching of at most 1, so at
+    # k = 3 the rule scans every edge it examines and fires on none
+    assert rule_sunflower(Instance(g, 3, DIAMOND)) is None
+    assert 0 < len(calls) <= 3 * 3
 
 
 def test_phase1_work_grows_linearly_on_clique_chains(monkeypatch):
