@@ -31,7 +31,13 @@ characterisation of Fellows, Guo, Komusiewicz, Niedermeier & Uhlmann,
 Discrete Optimization 2011).  The ends of a middle edge are adjacent to
 each other and to s + 1 >= 2 more vertices, so their degree is at least 3
 and dropping edges at vertices of degree <= 2 is exact too.  In a graph
-made of large cliques almost every edge drops out.  The index's toggle and
+made of large cliques almost every edge drops out.  Those cliques are also
+why the test runs once per class of true twins (equal closed neighbourhood
+N[v]) rather than once per vertex: the vertices of a clique C whose only
+outside neighbours are the common set A_C, the local vertices that clique
+reduction deletes, all have N[v] = C | A_C, and twins get the same verdict
+since swapping them is an isomorphism of the graph (as in the critical
+cliques of Guo's cluster-editing kernel, TCS 2009).  The index's toggle and
 mask refreshes are local already and stay unfiltered, and so does
 iter_sdiamond_occurrences, the reference the tests compare with.
 
@@ -147,9 +153,24 @@ def _clusters_neighbourhood(g: Graph, x: int) -> bool:
 
 def centre_edges(g: Graph) -> list[tuple[int, int]]:
     """The edges of g, in g.edges() order, that may be the middle edge of
-    an s-diamond: both ends have degree > 2 and an unclustered neighbourhood."""
-    centres = {v for v in g.vertex_set()
-               if g.degree(v) > 2 and not _clusters_neighbourhood(g, v)}
+    an s-diamond: both ends have degree > 2 and an unclustered neighbourhood.
+
+    The neighbourhood test runs once per class of true twins, keyed by the
+    closed neighbourhood N[v]: if N[x] = N[x'], swapping x and x' maps
+    G[N(x)] onto G[N(x')], so both get the same verdict.  Keying by the
+    open neighbourhood N(v) would be exact as well, but the vertices of a
+    clique all have different open neighbourhoods, and clique vertices are
+    the ones worth sharing (see the module docstring).
+    """
+    verdicts: dict[frozenset[int], bool] = {}
+    centres = set()
+    for v in g.vertex_set():
+        if g.degree(v) > 2:
+            closed = frozenset(g.neighbors(v)) | {v}
+            if closed not in verdicts:
+                verdicts[closed] = not _clusters_neighbourhood(g, v)
+            if verdicts[closed]:
+                centres.add(v)
     kept = sorted((x, y) for x in centres for y in g.neighbors(x) & centres if x < y)
     if debug_assertions_enabled():
         for x, y in g.edge_set().difference(kept):

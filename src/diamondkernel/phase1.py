@@ -98,12 +98,32 @@ def replay(log: RuleLog, graph: Graph) -> Graph:
 # ascending order as it examines them, skipping those no longer in the
 # graph, so after a firing the set holds exactly what the rule has not
 # looked at.  Either way the rule fires on the first match in ascending
-# order.  The sunflower rule has no scope: lowering k reopens all of its
-# verdicts, and nothing else raises a sunflower value (see run_phase1).
+# order.  The driver's scopes are _Worklists, which keep their heap between
+# calls, so a rule that resumes pays only for the items it pops, and a
+# whole phase 1 heapifies each item once per scope that holds it; a plain
+# set is heapified afresh on each call.  The sunflower rule has no scope:
+# lowering k reopens all of its verdicts, and nothing else raises a
+# sunflower value (see run_phase1).
+
+class _Worklist(set):
+    """A driver scope: the set plus a heap of its items, built once.
+
+    Items only ever leave the set; the heap may still hold them, and
+    _drain skips them.
+    """
+
+    def __init__(self, items) -> None:
+        super().__init__(items)
+        self.heap = list(self)
+        heapify(self.heap)
+
 
 def _drain(scope: set, present: Callable[[object], bool]) -> Iterator:
-    heap = list(scope)
-    heapify(heap)  # linear, and only the items examined are popped
+    # a _Worklist brings its heap; a plain set from a caller gets a fresh one
+    heap = getattr(scope, "heap", None)
+    if heap is None:
+        heap = list(scope)
+        heapify(heap)  # linear, and only the items examined are popped
     while heap:
         item = heappop(heap)
         if item in scope:  # the component rule takes out whole components
@@ -230,15 +250,16 @@ def _record_firing(scopes: dict[str, set | None], name: str, data, g: Graph) -> 
     if name == "sunflower":
         # its own scope stays None: it fires only from a full scan, and
         # lowering k reopens every verdict
-        scopes["irrelevant_edge"] = _edges_near(g, *data)
+        scopes["irrelevant_edge"] = _Worklist(_edges_near(g, *data))
     elif scopes[name] is None:
         if name == "irrelevant_edge":
-            scopes[name] = {e for e in g.edges() if e > data}
+            scopes[name] = _Worklist(e for e in g.edges() if e > data)
         elif name == "vertex_split":
-            scopes[name] = {v for v in g.vertex_set() if v > data[0]}
+            scopes[name] = _Worklist(v for v in g.vertex_set() if v > data[0])
         else:
             first = min(data)
-            scopes[name] = {v for c in g.connected_components() if min(c) > first for v in c}
+            scopes[name] = _Worklist(v for c in g.connected_components()
+                                     if min(c) > first for v in c)
 
 
 def run_phase1(inst: Instance) -> tuple[Instance, RuleLog]:

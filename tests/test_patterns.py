@@ -3,6 +3,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from diamondkernel import patterns
 from diamondkernel.errors import FamilyError, NotDiamondFreeError
 from diamondkernel.family import FamilySpec
 from diamondkernel.graph import Graph, edge_key
@@ -13,8 +14,8 @@ from diamondkernel.patterns import (OccurrenceIndex, _clusters_neighbourhood, ce
 from diamondkernel.solver import has_induced_pattern_naive
 from diamondkernel.instances import gen_hard_structure
 
-from conftest import (complete_graph, cycle_graph, diamond_graph, edge_in_diamond_subgraph,
-                      path_graph)
+from conftest import (apex_gadgets, complete_graph, cycle_graph, diamond_graph,
+                      edge_in_diamond_subgraph, path_graph)
 
 DIAMOND = FamilySpec.diamond()
 
@@ -149,6 +150,54 @@ def test_centre_edges_keep_every_possible_middle_edge(g):
         common = g.neighbors(x) & g.neighbors(y)
         if any(not g.has_edge(a, b) for a, b in combinations(common, 2)):
             assert (x, y) in kept
+
+
+@st.composite
+def blow_ups(draw, max_base=6):
+    """A random graph on <= max_base vertices with each vertex replaced by a
+    clique or an independent set of 1-4 vertices, joined completely where
+    the base graph has an edge; vertex ids are shuffled."""
+    base = draw(small_graphs(max_base))
+    blocks, n = [], 0
+    for _ in base.vertices:
+        size = draw(st.integers(1, 4))
+        blocks.append((range(n, n + size), draw(st.booleans())))
+        n += size
+    label = draw(st.permutations(range(n)))
+    edges = [(u, v) for members, clique in blocks if clique for u, v in combinations(members, 2)]
+    edges += [(u, v) for a, b in base.edges() for u in blocks[a][0] for v in blocks[b][0]]
+    return Graph.from_edges(n, [(label[u], label[v]) for u, v in edges])
+
+
+def centre_edges_per_vertex(g):
+    """centre_edges with the neighbourhood test run on every vertex."""
+    centres = {v for v in g.vertex_set()
+               if g.degree(v) > 2 and not _clusters_neighbourhood(g, v)}
+    return sorted((x, y) for x in centres for y in g.neighbors(x) & centres if x < y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(blow_ups())
+def test_centre_edges_share_verdicts_exactly_between_twins(g):
+    assert centre_edges(g) == centre_edges_per_vertex(g)
+
+
+def test_cluster_test_runs_once_per_class_of_true_twins(monkeypatch):
+    calls = []
+    real = patterns._clusters_neighbourhood
+    monkeypatch.setattr(patterns, "_clusters_neighbourhood",
+                        lambda g, x: calls.append(x) or real(g, x))
+    # per copy: one class for the 16 clique vertices, then a, b and p (q has degree 2)
+    g, centres = apex_gadgets(3, 16)
+    assert centre_edges(g) == centres and len(calls) == 12
+    for k in (4, 8, 12):
+        # w1, w2, each clique's representative, and one class per clique
+        # for its other members; w3 and w4 have degree 2
+        g = gen_hard_structure(k).graph
+        calls.clear()
+        kept = centre_edges(g)
+        assert len(calls) == 2 * k + 2
+        assert kept == centre_edges_per_vertex(g)
 
 
 # -- core membership -----------------------------------------------------------------

@@ -356,3 +356,27 @@ def test_phase1_work_grows_linearly_on_clique_chains(monkeypatch):
         counts[n] = len(calls)
         assert counts[n] <= 25 * n
     assert counts[801] <= 2.5 * counts[401]
+
+
+def test_phase1_heapifies_each_scope_once_on_clique_chains(monkeypatch):
+    items = []
+    real = phase1.heapify
+    monkeypatch.setattr(phase1, "heapify", lambda heap: items.append(len(heap)) or real(heap))
+    counts = {}
+    for n in (201, 401, 801):
+        inst = gen_planted_yes(clique_layout([6] * ((n - 1) // 5), "chain"), n // 100, 1)
+        items.clear()
+        run_phase1(inst)
+        counts[n] = sum(items)
+        assert counts[n] <= 6 * n
+    assert counts[401] <= 2.5 * counts[201] and counts[801] <= 2.5 * counts[401]
+
+
+def test_rules_drain_a_plain_set_scope():
+    # a caller's own set, not a driver worklist: the rule still takes its
+    # items out in ascending order and leaves the rest
+    scope = {(2, 3), (1, 2)}
+    inst = Instance(path_graph(4), 1, DIAMOND)
+    assert rule_irrelevant_edge(inst, scope) == (1, 2) and scope == {(2, 3)}
+    assert rule_irrelevant_edge(inst, scope) == (2, 3) and scope == set()
+    assert inst.graph.has_edge(0, 1)
