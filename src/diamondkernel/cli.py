@@ -9,7 +9,8 @@ Exit codes: 0 success / feasible / kernelized, 10 decided-no / infeasible,
 2 usage or parse error, 3 size-guard refusal, 1 when verify or solve
 --verify finds a failed check or bench a kernel over its bound.  Arguments
 are range-checked by argparse, so any other exception is a fault of the
-program and ends the run with its traceback (also exit 1).
+program and ends the run with its traceback (also exit 1); so does a
+failed --debug-assert check.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ import sys
 import time
 
 from . import checks
-from .errors import (DescriptorError, DiamondKernelError, FamilyError, GuardError,
-                     ParseError)
+from .errors import DescriptorError, FamilyError, GuardError, ParseError
 from .family import FamilySpec
 from .harness import run_bench, verify_rule_safety
 from .instances import (clique_layout, gen_gnp, gen_hard_structure, gen_planted_yes,
@@ -206,15 +206,6 @@ def cmd_bench(args) -> int:
     result = run_bench(args.seed)
     report = {"command": "bench", "seed": args.seed, "result": result,
               "timings": {"total": sum(r["timings"]["total"] for r in result["rows"])}}
-    if args.csv:
-        lines = ["label,family,input_n,input_m,k,decided_no,kernel_n,kernel_k,bound_ok,total_s"]
-        for row in result["rows"]:
-            lines.append(",".join(str(row.get(key, "")) for key in
-                                  ("label", "family", "input_n", "input_m", "k", "decided_no",
-                                   "kernel_n", "kernel_k", "bound_ok"))
-                         + f",{row['timings']['total']}")
-        with open(args.csv, "w", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
     _emit_report(report, args.report)
     return EXIT_OK if result["bound_violations"] == 0 else 1
 
@@ -314,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="time the pipeline and certify kernel bounds")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--csv", help="also write per-instance rows as CSV")
     p.add_argument("--report", help="write the JSON report here instead of stdout")
     p.set_defaults(func=cmd_bench)
     return parser
@@ -329,13 +319,7 @@ def main(argv=None) -> int:
     except GuardError as exc:
         print(f"guard refusal: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (ParseError, DescriptorError, FamilyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DiamondKernelError as exc:
+    except (ParseError, DescriptorError, FamilyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -3,8 +3,9 @@
 The verifier is the executable form of the safety claims: on a seeded
 random corpus it applies every reduction rule once, runs phase 1 to a
 fixpoint that its rule log must replay to, runs the full kernelization,
-and compares decisions against the brute-force deletion oracle.  The bench harness times the pipeline stages and certifies the
-kernel-size bounds on every processed instance.
+and compares decisions against the brute-force deletion oracle.  The
+bench harness times the pipeline stages and certifies the kernel-size
+bounds on every processed instance.
 """
 
 from __future__ import annotations

@@ -351,23 +351,6 @@ def is_family_free(g: Graph, fam: FamilySpec) -> bool:
 
 # -- core membership (not-necessarily-induced containment) ------------------
 
-def _has_clique_within(g: Graph, pool: list[int], size: int) -> bool:
-    """True iff g[pool] contains a clique on `size` vertices."""
-    if size <= 0:
-        return True
-
-    def extend(chosen_last: int, candidates: list[int], need: int) -> bool:
-        if need == 0:
-            return True
-        for i, v in enumerate(candidates):
-            nxt = [w for w in candidates[i + 1:] if w in g.neighbors(v)]
-            if len(nxt) >= need - 1 and extend(v, nxt, need - 1):
-                return True
-        return False
-
-    return extend(-1, pool, size)
-
-
 def is_core_member_edge(g: Graph, e: tuple[int, int], fam: FamilySpec) -> bool:
     """True iff e lies in a diamond subgraph (or a K_t when the family has one).
 
@@ -378,7 +361,9 @@ def is_core_member_edge(g: Graph, e: tuple[int, int], fam: FamilySpec) -> bool:
     C = N(x) & N(y) misses one of x, y.  So such a pair exists iff
     |C| >= 2 (take a, b in C), or C = {a} and a has a neighbour b in
     (N(x) | N(y)) - {x, y, a}.  That is an O(deg) test instead of a walk
-    over all pairs of the neighbourhood.
+    over all pairs of the neighbourhood.  A K_t through xy needs t - 2
+    common neighbours, so once |C| <= 1 only t = 3 with |C| = 1 is left;
+    for t >= 4 a K_t contains a K4 and the diamond test already decides.
     """
     if fam.sdiamond != 1:
         raise FamilyError(
@@ -394,10 +379,8 @@ def is_core_member_edge(g: Graph, e: tuple[int, int], fam: FamilySpec) -> bool:
         (a,) = common
         if not g.neighbors(a).isdisjoint((nx | ny) - {x, y, a}):
             return True
-    if fam.clique is not None:
-        if _has_clique_within(g, sorted(common), fam.clique - 2):
-            return True
-    return False
+    # a K_t through xy has its other t - 2 vertices in C
+    return fam.clique is not None and len(common) >= fam.clique - 2
 
 
 # -- greedy edge-disjoint packing -------------------------------------------

@@ -94,15 +94,16 @@ def replay(log: RuleLog, graph: Graph) -> Graph:
 # -- the four rules ----------------------------------------------------------
 #
 # The edge, split and component rules take an optional scope.  None examines
-# every edge or vertex.  A set is a worklist: the rule takes its items out in
-# ascending order as it examines them, skipping those no longer in the
-# graph, so after a firing the set holds exactly what the rule has not
-# looked at.  Either way the rule fires on the first match in ascending
-# order.  The driver's scopes are _Worklists, which keep their heap between
-# calls, so a rule that resumes pays only for the items it pops, and a
-# whole phase 1 heapifies each item once per scope that holds it; a plain
-# set is heapified afresh on each call.  The sunflower rule has no scope:
-# lowering k reopens all of its verdicts, and nothing else raises a
+# every edge or vertex, in a sorted scan.  A _Worklist, which only the
+# driver makes, is what the rule has not examined yet: the rule takes its
+# items out in ascending order as it examines them, skipping those no
+# longer in the graph, so after a firing it holds exactly what the rule has
+# not looked at.  Either way the rule fires on the first match in ascending
+# order.  A _Worklist keeps its heap between calls, so a rule that resumes
+# pays only for the items it pops, and a whole phase 1 heapifies each item
+# once per scope that holds it.  The None scan stays: popping every edge
+# off a heap costs more than a sorted scan.  The sunflower rule has no
+# scope: lowering k reopens all of its verdicts, and nothing else raises a
 # sunflower value (see run_phase1).
 
 class _Worklist(set):
@@ -118,12 +119,8 @@ class _Worklist(set):
         heapify(self.heap)
 
 
-def _drain(scope: set, present: Callable[[object], bool]) -> Iterator:
-    # a _Worklist brings its heap; a plain set from a caller gets a fresh one
-    heap = getattr(scope, "heap", None)
-    if heap is None:
-        heap = list(scope)
-        heapify(heap)  # linear, and only the items examined are popped
+def _drain(scope: _Worklist, present: Callable[[object], bool]) -> Iterator:
+    heap = scope.heap
     while heap:
         item = heappop(heap)
         if item in scope:  # the component rule takes out whole components
@@ -133,7 +130,7 @@ def _drain(scope: set, present: Callable[[object], bool]) -> Iterator:
 
 
 def rule_irrelevant_edge(inst: Instance,
-                         scope: set[tuple[int, int]] | None = None) -> tuple[int, int] | None:
+                         scope: _Worklist | None = None) -> tuple[int, int] | None:
     """Delete the smallest edge that lies in no family pattern as a subgraph."""
     g = inst.graph
     edges = list(g.edges()) if scope is None else _drain(scope, lambda e: g.has_edge(*e))
@@ -167,7 +164,7 @@ def rule_sunflower(inst: Instance) -> tuple[int, int] | None:
     return None
 
 
-def rule_vertex_split(inst: Instance, scope: set[int] | None = None
+def rule_vertex_split(inst: Instance, scope: _Worklist | None = None
                       ) -> tuple[int, tuple[tuple[int, frozenset[int]], ...]] | None:
     """Split the smallest vertex whose neighborhood is disconnected.
 
@@ -195,7 +192,7 @@ def rule_vertex_split(inst: Instance, scope: set[int] | None = None
 
 
 def rule_irrelevant_component(inst: Instance,
-                              scope: set[int] | None = None) -> frozenset[int] | None:
+                              scope: _Worklist | None = None) -> frozenset[int] | None:
     """Delete the first component that is family-free, by smallest member.
 
     With a scope, only the components that meet it are examined, in the

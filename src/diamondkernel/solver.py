@@ -16,13 +16,12 @@ enough to sweep thousands of desk-scale instances.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
 from .checks import debug_check
-from .errors import DiamondKernelError, GuardError
+from .errors import GuardError
 from .family import FamilySpec
 from .graph import Graph, edge_key
 from .patterns import (OccurrenceIndex, find_induced_occurrence, greedy_packing,
@@ -30,28 +29,15 @@ from .patterns import (OccurrenceIndex, find_induced_occurrence, greedy_packing,
 from .phase1 import Instance
 
 DEFAULT_ORACLE_CAP = 10_000_000
-ORACLE_CAP_ENV = "DIAMOND_KERNEL_ORACLE_CAP"
-
-
-def oracle_cap(override: int | None = None) -> int:
-    if override is not None:
-        return override
-    env = os.environ.get(ORACLE_CAP_ENV)
-    if not env:
-        return DEFAULT_ORACLE_CAP
-    try:
-        return int(env)
-    except ValueError:
-        raise DiamondKernelError(f"{ORACLE_CAP_ENV}={env!r} is not an integer") from None
 
 
 def _check_guard(universe: int, kmax: int, cap: int | None) -> None:
     total = sum(comb(universe, size) for size in range(0, max(kmax, 0) + 1))
-    limit = oracle_cap(cap)
+    limit = DEFAULT_ORACLE_CAP if cap is None else cap
     if total > limit:
         raise GuardError(
             f"enumeration of {total} subsets (universe {universe}, sizes <= {kmax}) "
-            f"exceeds the cap {limit}; raise it via {ORACLE_CAP_ENV} or the cap argument")
+            f"exceeds the cap {limit}; raise it with --cap or the cap argument")
 
 
 # -- solutions ----------------------------------------------------------------

@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
-from diamondkernel import cli, phase1
+import diamondkernel
+from diamondkernel import cli, phase1, phase2
 from diamondkernel.cli import main, report_digest
-from diamondkernel.errors import ParseError
+from diamondkernel.errors import InvariantError, ParseError
 from diamondkernel.family import FamilySpec
 from diamondkernel.graph import Graph
 from diamondkernel.harness import verify_rule_safety
@@ -166,6 +171,32 @@ def test_usage_error_exit(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_failed_debug_assertion_is_a_program_fault(tmp_path, capsys, monkeypatch):
+    # a failed invariant is not a usage error: it escapes main, and the
+    # interpreter ends the run with exit 1 and a traceback
+    def fail(*args):
+        raise InvariantError("injected modulator fault")
+
+    path = write(tmp_path, "d.txt", DIAMOND_FILE)
+    monkeypatch.setattr(phase2, "validate_modulator", fail)
+    with pytest.raises(InvariantError, match="injected modulator fault"):
+        main(["--debug-assert", "kernelize", "-i", path])
+    assert capsys.readouterr().err == ""
+
+    script = ("import runpy\n"
+              "from diamondkernel import errors, phase2\n"
+              "def fail(*args):\n"
+              "    raise errors.InvariantError('injected modulator fault')\n"
+              "phase2.validate_modulator = fail\n"
+              "runpy.run_module('diamondkernel.cli', run_name='__main__', alter_sys=True)\n")
+    src = str(Path(diamondkernel.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run([sys.executable, "-c", script, "--debug-assert", "kernelize", "-i", path],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 1
+    assert "Traceback" in run.stderr and "InvariantError: injected modulator fault" in run.stderr
+
+
 @pytest.mark.parametrize("argv,fragment", [
     (["generate", "gnp", "--n", "5", "--p", "1.5"], "argument --p: 1.5 is outside [0, 1]"),
     (["generate", "gnp", "--n", "5", "--p", "0.5", "--k", "-1"], "argument --k: -1 is below 0"),
@@ -272,17 +303,14 @@ def test_verify_catches_injected_bug(monkeypatch):
     assert result["rules"]["sunflower"]["failure_count"] > 0
 
 
-def test_bench_command(tmp_path, capsys):
-    csv_path = str(tmp_path / "bench.csv")
-    assert main(["bench", "--seed", "1", "--csv", csv_path]) == 0
+def test_bench_command(capsys):
+    assert main(["bench", "--seed", "1"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["result"]["bound_violations"] == 0
     rows = {r["label"]: r for r in report["result"]["rows"]}
     for k in (2, 3, 4, 5, 6):
         row = rows[f"hard(k={k})"]
         assert row["kernel_n"] == k * k + 4 and row["bound_ok"]
-    header = open(csv_path).readline()
-    assert header.startswith("label,family")
     assert report["digest"] == "021314c4c348f683991db5b478248785587b5d148671d5410e30e3879098a94e"
 
 

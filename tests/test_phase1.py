@@ -370,13 +370,3 @@ def test_phase1_heapifies_each_scope_once_on_clique_chains(monkeypatch):
         counts[n] = sum(items)
         assert counts[n] <= 6 * n
     assert counts[401] <= 2.5 * counts[201] and counts[801] <= 2.5 * counts[401]
-
-
-def test_rules_drain_a_plain_set_scope():
-    # a caller's own set, not a driver worklist: the rule still takes its
-    # items out in ascending order and leaves the rest
-    scope = {(2, 3), (1, 2)}
-    inst = Instance(path_graph(4), 1, DIAMOND)
-    assert rule_irrelevant_edge(inst, scope) == (1, 2) and scope == {(2, 3)}
-    assert rule_irrelevant_edge(inst, scope) == (2, 3) and scope == set()
-    assert inst.graph.has_edge(0, 1)

@@ -4,13 +4,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diamondkernel import solver
-from diamondkernel.cli import main
-from diamondkernel.errors import DiamondKernelError, GuardError
+from diamondkernel.errors import GuardError
 from diamondkernel.family import FamilySpec
 from diamondkernel.graph import Graph
 from diamondkernel.phase1 import Instance
 from diamondkernel.instances import reduce_vc_to_sdfed
-from diamondkernel.io import serialize_instance
 from diamondkernel.patterns import find_induced_occurrence, is_family_free
 from diamondkernel.solver import (Solution, brute_force_editing_solution,
                                   brute_force_min_deletion, brute_force_min_editing,
@@ -150,21 +148,6 @@ def test_guard_refuses_oversized():
     g = complete_graph(9)
     with pytest.raises(GuardError):
         brute_force_min_deletion(g, DIAMOND, 3, cap=10)
-
-
-def test_guard_env_override(monkeypatch, tmp_path, capsys):
-    monkeypatch.setenv("DIAMOND_KERNEL_ORACLE_CAP", "10")
-    with pytest.raises(GuardError):
-        brute_force_min_deletion(complete_graph(9), DIAMOND, 3)
-    monkeypatch.setenv("DIAMOND_KERNEL_ORACLE_CAP", "10000000")
-    assert brute_force_min_deletion(complete_graph(5), DIAMOND, 3) is not None
-    monkeypatch.setenv("DIAMOND_KERNEL_ORACLE_CAP", "abc")
-    with pytest.raises(DiamondKernelError, match="DIAMOND_KERNEL_ORACLE_CAP='abc'"):
-        brute_force_min_deletion(complete_graph(5), DIAMOND, 3)
-    path = tmp_path / "diamond.txt"
-    path.write_text(serialize_instance(Instance(diamond_graph(), 1, DIAMOND)))
-    assert main(["solve", "-i", str(path), "--engine", "brute"]) == 2
-    assert "DIAMOND_KERNEL_ORACLE_CAP" in capsys.readouterr().err
 
 
 # -- editing oracle -----------------------------------------------------------------
