@@ -1,5 +1,5 @@
 """Detection of forbidden induced subgraphs, core membership, greedy
-edge-disjoint packing, and the maximal clique partitioning of diamond-free
+occurrence packings, and the maximal clique partitioning of diamond-free
 graphs.
 
 Search strategy: an s-diamond is an edge {x, y} plus s+1 pairwise
@@ -57,6 +57,7 @@ first() falls back to iter_clique_occurrences when no s-diamond is left.
 
 from __future__ import annotations
 
+from collections import Counter
 from copy import copy
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -404,24 +405,29 @@ def max_edges_per_occurrence(fam: FamilySpec) -> int:
     return worst
 
 
-def greedy_packing(g: Graph, k: int, fam: FamilySpec,
-                   fixed: frozenset | set | None = None,
-                   index: OccurrenceIndex | None = None) -> PackingResult:
-    """Pack induced occurrences of fam in g with pairwise disjoint unfixed edges.
+def _pack(work: OccurrenceIndex, k: int, fixed, choose) -> PackingResult:
+    """Pack choose(work) until k+1 occurrences are packed, one has no edge
+    outside fixed, or none is left, masking each one's unfixed edges in work."""
+    packing_edges: set[tuple[int, int]] = set()
+    occurrences: list[PatternOccurrence] = []
+    while (occ := choose(work)) is not None:
+        occurrences.append(occ)
+        unfixed = occ.edges.difference(fixed)
+        if not unfixed or len(occurrences) >= k + 1:
+            return PackingResult(True, packing_edges | unfixed, occurrences)
+        packing_edges |= unfixed
+        work.mask(unfixed)
+    return PackingResult(False, packing_edges, occurrences)
 
-    fixed is a set of edges that may not be deleted; occurrences may share
-    fixed edges, and only unfixed edges enter packing_edges, the avoid set
-    of the next search.  An occurrence with only fixed edges can never be
-    hit, so finding one stops with budget_exceeded.  index, when given, is
-    an OccurrenceIndex of g and fam with an empty mask; the packing masks a
-    copy of it, so the caller's index is left as it was.  Without it the
-    packing builds its own.  With no fixed edges the packing is
-    edge-disjoint.
+
+def greedy_packing(g: Graph, k: int, fam: FamilySpec) -> PackingResult:
+    """Pack edge-disjoint induced occurrences of fam in g.
 
     Each iteration takes the lexicographically first induced occurrence of
     g that shares no edge with packing_edges.  Stops with budget_exceeded
     as soon as k+1 occurrences are packed; otherwise the packing is
     maximal, so every induced occurrence of g intersects packing_edges.
+    The modulator, and so every kernel, depends on this order.
 
     Note the candidates are induced occurrences of g itself, not of the
     edge-deleted remainder: an induced diamond of g - X whose missing pair
@@ -429,27 +435,41 @@ def greedy_packing(g: Graph, k: int, fam: FamilySpec,
     touch it, so counting it toward the k+1 threshold would flip yes
     instances to no.
     """
-    fixed = fixed or ()
-    work = index.copy() if index is not None else OccurrenceIndex(g, fam)
-    packing_edges: set[tuple[int, int]] = set()
-    occurrences: list[PatternOccurrence] = []
-    occ = work.first()
-    while occ is not None:
-        occurrences.append(occ)
-        unfixed = occ.edges.difference(fixed)
-        if not unfixed or len(occurrences) >= k + 1:
-            return PackingResult(True, packing_edges | unfixed, occurrences)
-        packing_edges |= unfixed
-        work.mask(unfixed)
-        occ = work.first()
-    result = PackingResult(False, packing_edges, occurrences)
-    debug_check(len(packing_edges) <= max_edges_per_occurrence(fam) * max(k, 0),
-                "packing edge count exceeds the per-occurrence bound")
-    if debug_assertions_enabled():
-        for occ in _iter_occurrences(g, fam):
-            debug_check(bool(occ.edges & packing_edges),
-                        f"occurrence {occ.vertices} is edge-disjoint from a maximal packing")
+    result = _pack(OccurrenceIndex(g, fam), k, (), OccurrenceIndex.first)
+    if not result.budget_exceeded:
+        packing_edges = result.packing_edges
+        debug_check(len(packing_edges) <= max_edges_per_occurrence(fam) * max(k, 0),
+                    "packing edge count exceeds the per-occurrence bound")
+        if debug_assertions_enabled():
+            for occ in _iter_occurrences(g, fam):
+                debug_check(bool(occ.edges & packing_edges),
+                            f"occurrence {occ.vertices} is edge-disjoint from a maximal packing")
     return result
+
+
+def fewest_conflicts_packing(index: OccurrenceIndex, k: int,
+                             fixed: frozenset | set) -> PackingResult:
+    """Pack index entries with pairwise disjoint unfixed edges, fewest
+    conflicts first: the min-degree greedy for independent sets on their
+    conflict graph (Halldorsson & Radhakrishnan, Algorithmica 1997).
+
+    An entry's count sums, over its edges outside fixed, the number of
+    entries holding the edge; ties go to the smaller vertex tuple.  The
+    pick's unfixed edges are masked in a copy of index, which leaves the
+    caller's index as it was, and the counts are taken afresh.  An entry
+    with only fixed edges counts 0, so it is taken first and stops with
+    budget_exceeded, as do k+1 picks.  K_t items fall back to first()
+    once no entry is left.
+    """
+    def choose(work: OccurrenceIndex) -> PatternOccurrence | None:
+        entries = [(occ.edges.difference(fixed), occ) for occ in work._at.values()]
+        if not entries:
+            return work.first()
+        load = Counter(e for unfixed, _occ in entries for e in unfixed)
+        return min(entries, key=lambda item: (sum(load[e] for e in item[0]),
+                                              item[1].vertices))[1]
+
+    return _pack(index.copy(), k, fixed, choose)
 
 
 # -- maximal clique partitioning --------------------------------------------

@@ -3,15 +3,15 @@
 The branching solver is the practical exact engine: a bounded search tree
 (Cai 1996) pruned by forbidden-edge marking (Gramm, Guo, Hueffner and
 Niedermeier 2005) and by a packing lower bound that respects the marked
-edges.  Neither pruning changes the deletion set it returns; see
-solve_branching.  The brute-force functions are the ground truth
-everything else is measured against.  The
-oracles never call the pattern detector: they share one table that holds,
-for every vertex subset that could host a pattern, bitmasks over vertex-pair
-indices, and decide feasibility by mask arithmetic alone (deletion is
-editing restricted to the present pairs).  That keeps them
-independent of the detection code they are used to certify, and fast
-enough to sweep thousands of desk-scale instances.
+edges and packs the occurrence with the fewest conflicts first.  Neither
+pruning changes the deletion set it returns; see solve_branching.  The
+brute-force functions are the ground truth everything else is measured
+against.  The oracles never call the pattern detector: they share one
+table that holds, for every vertex subset that could host a pattern,
+bitmasks over vertex-pair indices, and decide feasibility by mask
+arithmetic alone (deletion is editing restricted to the present pairs).
+That keeps them independent of the detection code they are used to
+certify, and fast enough to sweep thousands of desk-scale instances.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .checks import debug_check
 from .errors import GuardError
 from .family import FamilySpec
 from .graph import Graph, edge_key
-from .patterns import (OccurrenceIndex, find_induced_occurrence, greedy_packing,
+from .patterns import (OccurrenceIndex, fewest_conflicts_packing, find_induced_occurrence,
                        max_edges_per_occurrence)
 from .phase1 import Instance
 
@@ -97,9 +97,12 @@ def solve_branching(inst: Instance) -> Solution:
     * Packing bound, at every node with budget > 0 and for every family.
       A solution must delete an unfixed edge of every induced occurrence,
       so a node fails when an occurrence has only fixed edges, or when
-      budget + 1 occurrences have pairwise disjoint unfixed edges
-      (greedy_packing with fixed).  Such a node holds no solution, so the
-      first solution is again untouched.
+      budget + 1 occurrences have pairwise disjoint unfixed edges.  Any
+      such packing will do, so fewest_conflicts_packing takes the order
+      that tends to pack more: on reduced vertex-cover instances the
+      lexicographic order of greedy_packing left 9 to 10,000 times as
+      many nodes.  A failed node holds no solution, so the first solution
+      is again untouched.
 
     One OccurrenceIndex follows every deletion and restoration, so no node
     rescans the graph.  Each node asks it for the first occurrence exactly
@@ -124,7 +127,7 @@ def solve_branching(inst: Instance) -> Solution:
             return True
         if budget == 0:
             return False
-        if greedy_packing(g, budget, fam, fixed=fixed, index=index).budget_exceeded:
+        if fewest_conflicts_packing(index, budget, fixed).budget_exceeded:
             return False
         edges = sorted(occ.edges - fixed)
         debug_check(len(edges) <= branch_cap, "branching factor above the family bound")

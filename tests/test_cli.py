@@ -328,12 +328,12 @@ def test_verify_solver_digests_are_pinned(family, digest, capsys):
 
 @pytest.mark.parametrize("gnp,exit_code,digest", [
     (("5", "0.3", "1", "2"), 0,
-     "ae135a8d7c4ab0859abac362e60f812e1cf7c184c38eea7567de3d1f7b143895"),
+     "d472ce446c7188ae41718c9314003ac38b14b863580d9c2665383cd9bd9d9447"),
     (("7", "0.4", "2", "2"), 10,
-     "1108c6b11cd794faa6174374ed2df6438b5cafcabc13d6523c6fdeadd80f99f6"),
+     "12335cac6c8388d97f7c58b925abce849fa044f4c110469b5805299e66ba57a9"),
     (("7", "0.4", "3", "2"), 0,
-     "ff7085ece36430c70adfd5a10296e1d9a1e940d647689175da8c6186658444a4"),
-], ids=["yes-18-nodes", "no-519-nodes", "yes-3525-nodes"])
+     "9528acb4a2e9b0b1e1e78954c50a6947d095276fdf6d17918061bc543d507d95"),
+], ids=["yes-13-nodes", "no-1-node", "yes-37-nodes"])
 def test_solve_reduced_vc_digests_are_pinned(gnp, exit_code, digest, tmp_path, capsys):
     # the digest covers the node count and the deletion set, so the search
     # tree and the solution it returns are both pinned

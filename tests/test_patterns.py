@@ -8,10 +8,11 @@ from diamondkernel.errors import FamilyError, NotDiamondFreeError
 from diamondkernel.family import FamilySpec
 from diamondkernel.graph import Graph, edge_key
 from diamondkernel.patterns import (OccurrenceIndex, _clusters_neighbourhood, centre_edges,
-                                    clique_partition, find_induced_occurrence, greedy_packing,
+                                    clique_partition, fewest_conflicts_packing,
+                                    find_induced_occurrence, greedy_packing,
                                     is_core_member_edge, is_family_free,
                                     iter_clique_occurrences, iter_sdiamond_occurrences)
-from diamondkernel.solver import has_induced_pattern_naive
+from diamondkernel.solver import _min_toggles, has_induced_pattern_naive
 from diamondkernel.instances import gen_hard_structure
 
 from conftest import (apex_gadgets, complete_graph, cycle_graph, diamond_graph,
@@ -312,8 +313,8 @@ def test_packing_properties(g, k):
 
 def test_packing_all_fixed_occurrence_exceeds():
     # an occurrence that no solution may hit rules out every budget
-    fixed = diamond_graph().edge_set()
-    res = greedy_packing(diamond_graph(), 3, DIAMOND, fixed=fixed)
+    g = diamond_graph()
+    res = fewest_conflicts_packing(OccurrenceIndex(g, DIAMOND), 3, g.edge_set())
     assert res.budget_exceeded and len(res.occurrences) == 1
 
 
@@ -321,11 +322,37 @@ def test_packing_shared_fixed_edges_count_as_disjoint():
     # six diamonds share the middle edge 1-2; with it fixed, {0, 3} and {4, 5}
     # give two occurrences whose unfixed edges are disjoint
     g = Graph.from_edges(6, [(1, 2)] + [(v, c) for v in (1, 2) for c in (0, 3, 4, 5)])
-    assert not greedy_packing(g, 1, DIAMOND).budget_exceeded
-    res = greedy_packing(g, 1, DIAMOND, fixed={(1, 2)})
+    index = OccurrenceIndex(g, DIAMOND)
+    assert not fewest_conflicts_packing(index, 1, set()).budget_exceeded
+    res = fewest_conflicts_packing(index, 1, {(1, 2)})
     assert res.budget_exceeded
     assert [occ.vertices for occ in res.occurrences] == [(0, 1, 2, 3), (1, 2, 4, 5)]
     assert (1, 2) not in res.packing_edges
+    assert index.avoid == set()   # the caller's index is left as it was
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graphs(8), st.data())
+def test_fewest_conflicts_packing_is_a_sound_bound(g, data):
+    edges = sorted(g.edges())
+    fixed = set(data.draw(st.lists(st.sampled_from(edges), max_size=4))) if edges else set()
+    unfixed_edges = [e for e in edges if e not in fixed]
+    for fam in (DIAMOND, FamilySpec.s_diamond(2), FamilySpec.diamond_kt(4)):
+        induced = set(iter_sdiamond_occurrences(g, fam.sdiamond))
+        if fam.clique is not None:
+            induced |= set(iter_clique_occurrences(g, fam.clique))
+        for k in range(4):
+            res = fewest_conflicts_packing(OccurrenceIndex(g, fam), k, fixed)
+            seen = set()
+            for occ in res.occurrences:
+                assert occ in induced
+                assert not (occ.edges - fixed) & seen, "unfixed edges must be disjoint"
+                seen |= occ.edges - fixed
+            if res.budget_exceeded:
+                # no k deletions outside fixed leave g family-free
+                assert _min_toggles(g, fam, k, None, unfixed_edges) == (None, None)
+            else:
+                assert len(res.occurrences) <= k
 
 
 def _edge_disjoint_packing(g, k, fam):
@@ -345,9 +372,8 @@ def _edge_disjoint_packing(g, k, fam):
 def test_packing_defaults_are_edge_disjoint_packing(g, k):
     for fam in (DIAMOND, FamilySpec.s_diamond(2), FamilySpec.diamond_kt(4)):
         expected = _edge_disjoint_packing(g, k, fam)
-        for res in (greedy_packing(g, k, fam),
-                    greedy_packing(g, k, fam, fixed=set(), index=OccurrenceIndex(g, fam))):
-            assert (res.budget_exceeded, res.packing_edges, res.occurrences) == expected
+        res = greedy_packing(g, k, fam)
+        assert (res.budget_exceeded, res.packing_edges, res.occurrences) == expected
 
 
 def test_occurrence_index_refuses_ambiguous_requests():
@@ -379,7 +405,8 @@ def _assert_peels_like_the_scan(index, g, fam, avoid):
        st.integers(0, 3), st.data())
 def test_occurrence_index_follows_toggles_and_masks(g, fam, k, data):
     # one index takes toggles and a growing mask, a second takes the same
-    # toggles only and backs the packing; each has its own copy of the graph
+    # toggles only and backs the fewest-conflicts packing; each has its own
+    # copy of the graph
     masked_g, plain_g = g.copy(), g.copy()
     masked, plain = OccurrenceIndex(masked_g, fam), OccurrenceIndex(plain_g, fam)
     pairs = list(combinations(g.vertices, 2))
@@ -406,18 +433,12 @@ def test_occurrence_index_follows_toggles_and_masks(g, fam, k, data):
             enumerated_minimum(plain_g, fam, None)
         fixed = set(data.draw(st.lists(st.sampled_from(sorted(plain_g.edges())),
                                        max_size=4))) if plain_g.m else set()
-        # budget m packs until the packing is maximal
+        # budget m packs until the packing is maximal; the toggled index packs
+        # as one built afresh on the same graph
         for budget in (k, plain_g.m):
-            for fx in (None, fixed):
-                with_index, without = (greedy_packing(plain_g, budget, fam, fixed=fx,
-                                                      index=index)
-                                       for index in (plain, None))
-                got = (with_index.budget_exceeded, with_index.packing_edges,
-                       with_index.occurrences)
-                assert got == (without.budget_exceeded, without.packing_edges,
-                               without.occurrences)
-                if fx is None:
-                    assert got == _edge_disjoint_packing(plain_g, budget, fam)
+            for fx in (set(), fixed):
+                assert fewest_conflicts_packing(plain, budget, fx) == \
+                    fewest_conflicts_packing(OccurrenceIndex(plain_g.copy(), fam), budget, fx)
 
 
 # -- clique partitioning ----------------------------------------------------------------

@@ -8,8 +8,8 @@ from diamondkernel.errors import GuardError
 from diamondkernel.family import FamilySpec
 from diamondkernel.graph import Graph
 from diamondkernel.phase1 import Instance
-from diamondkernel.instances import reduce_vc_to_sdfed
-from diamondkernel.patterns import find_induced_occurrence, is_family_free
+from diamondkernel.instances import gen_gnp, reduce_vc_to_sdfed
+from diamondkernel.patterns import PackingResult, find_induced_occurrence, is_family_free
 from diamondkernel.solver import (Solution, brute_force_editing_solution,
                                   brute_force_min_deletion, brute_force_min_editing,
                                   brute_force_vertex_deletion, solve_branching)
@@ -72,12 +72,48 @@ def test_branching_node_count_regression(monkeypatch):
     assert sol.nodes == len(searches) <= 1_000
 
 
-def test_branching_node_count_is_pinned():
-    # the same no-instance as above: the pruned search tree has exactly 382 nodes
+def _lexicographic_packing(index, k, fixed):
+    """The solver's former bound: pack the first occurrence under the mask
+    each time, until k+1 are packed or one has only fixed edges."""
+    work, packing_edges, occurrences = index.copy(), set(), []
+    while (occ := work.first()) is not None:
+        occurrences.append(occ)
+        unfixed = occ.edges - fixed
+        if not unfixed or len(occurrences) > k:
+            return PackingResult(True, packing_edges | unfixed, occurrences)
+        packing_edges |= unfixed
+        work.mask(unfixed)
+    return PackingResult(False, packing_edges, occurrences)
+
+
+def test_branching_node_count_is_pinned(monkeypatch):
+    # the same no-instance as above: the pruned search tree has exactly 6
+    # nodes, and 382 under the lexicographic packing, with the same answer
     g0 = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
     inst, _ = reduce_vc_to_sdfed(g0, 2)
     sol = solve_branching(inst)
-    assert not sol.feasible and sol.nodes == 382
+    assert not sol.feasible and sol.nodes == 6
+    monkeypatch.setattr(solver, "fewest_conflicts_packing", _lexicographic_packing)
+    lexicographic = solve_branching(inst)
+    assert lexicographic == sol and lexicographic.nodes == 382
+
+
+@pytest.mark.parametrize("k0,feasible", [(4, False), (5, True)])
+def test_branching_work_on_reduced_vertex_cover(k0, feasible, monkeypatch):
+    # vertex cover 5: k = 16 and 17 after the reduction, which the
+    # lexicographic packing settles in 57,340 and 66,599 nodes
+    inst, _ = reduce_vc_to_sdfed(gen_gnp(8, 0.4, 1), k0)
+    searches = []
+    real = solver.find_induced_occurrence
+
+    def counted(*args, **kwargs):
+        searches.append(1)
+        assert len(searches) <= 300, "more than 300 search nodes"
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "find_induced_occurrence", counted)
+    sol = solve_branching(inst)
+    assert sol.feasible == feasible and sol.nodes == len(searches)
 
 
 def _unpruned_deletion_set(g: Graph, fam: FamilySpec, k: int):
