@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -275,6 +276,21 @@ def test_generate_reduce_vc_with_trace(tmp_path, capsys):
     trace = json.loads(open(out + ".trace.json").read())
     kinds = [st["kind"] for st in trace["stages"]]
     assert kinds == ["subdivide", "stars", "universal", "instance"]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("s,digest", [
+    ("1", "fb53b126e6260d5427250d0bdc0d47e146be214e829d83aee34bd9a77e2f2b78"),
+    ("2", "db3164965eaff602df3969ee4b3dc6d209fa81f018a018d5125ad24b7975ad41"),
+], ids=["s1", "s2"])
+def test_reduce_vc_trace_file_is_pinned(s, digest, tmp_path, capsys):
+    # the trace file's bytes: every stage's graph, paths, leaves and budgets
+    vc, red = str(tmp_path / "vc.txt"), str(tmp_path / "red.txt")
+    assert main(["generate", "gnp", "--n", "5", "--p", "0.4", "--k", "2", "--seed", "1",
+                 "-o", vc]) == 0
+    assert main(["generate", "reduce-vc", "-i", vc, "--s", s, "-o", red]) == 0
+    with open(red + ".trace.json", "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == digest
     capsys.readouterr()
 
 
