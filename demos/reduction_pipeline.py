@@ -25,8 +25,7 @@ s = 1
 g2, _ = attach_stars(g1, s)
 print(f"after attaching {s} leaf per vertex: n={g2.n}, m={g2.m}")
 
-g3, t3 = add_universal(g2)
-w = t3.stage("universal").data["w"]
+g3, w = add_universal(g2)
 print(f"after the universal vertex {w}: n={g3.n}, m={g3.m}")
 print("K4-free:", is_family_free(g3, FamilySpec(clique=4)))
 

@@ -6,10 +6,10 @@ are excluded), so a command repeated with the same flags and seed produces
 byte-identical instance files and the same digest.
 
 Exit codes: 0 success / feasible / kernelized, 10 decided-no / infeasible,
-2 usage or parse error, 3 size-guard refusal, 1 when verify or solve
---verify finds a failed check or bench a kernel over its bound.  Arguments
-are range-checked by argparse, so any other exception is a fault of the
-program and ends the run with its traceback (also exit 1); so does a
+2 usage, parse or input-reading error, 3 size-guard refusal, 1 when verify
+or solve --verify finds a failed check or bench a kernel over its bound.
+Arguments are range-checked by argparse, so any other exception is a fault
+of the program and ends the run with its traceback (also exit 1); so does a
 failed --debug-assert check.
 """
 
@@ -30,8 +30,8 @@ from .instances import (clique_layout, gen_gnp, gen_hard_structure, gen_planted_
 from .io import parse_instance, serialize_instance
 from .phase1 import Instance
 from .phase2 import kernelize
-from .solver import brute_force_min_deletion, brute_force_min_editing, solve_branching
-from .patterns import is_family_free
+from .solver import (brute_force_min_deletion, brute_force_min_editing, check_solution,
+                     solve_branching)
 
 SCHEMA_VERSION = 1
 EXIT_OK = 0
@@ -68,11 +68,14 @@ def _emit_report(report: dict, out_path: str | None) -> None:
 
 
 def _read_instance(path: str) -> tuple[Instance, str]:
-    if path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path) as fh:
-            text = fh.read()
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc
     return parse_instance(text), text
 
 
@@ -125,34 +128,20 @@ def cmd_solve(args) -> int:
         "feasible": feasible,
         "timings": {"total": round(elapsed, 6)},
     }
-    verified = True
+    status = EXIT_OK if feasible else EXIT_NO
     if args.engine == "branching":
         report["nodes"] = sol.nodes
         if feasible:
-            edges = sorted(sol.delete_set)
-            report["delete_edges"] = [[u, v] for u, v in edges]
-            if args.verify:
-                # a valid set names only edges of the input, at most k of
-                # them, and leaves the graph family-free; a failed check
-                # adds its key (non_edges, over_budget) to the report
-                h = inst.graph.copy()
-                non_edges = [[u, v] for u, v in edges if not h.has_edge(u, v)]
-                for u, v in edges:
-                    if h.has_edge(u, v):
-                        h.remove_edge(u, v)
-                report["verified_family_free"] = is_family_free(h, inst.family)
-                if non_edges:
-                    report["non_edges"] = non_edges
-                if len(edges) > inst.k:
-                    report["over_budget"] = len(edges) - inst.k
-                verified = report["verified_family_free"] and not non_edges \
-                    and len(edges) <= inst.k
+            report["delete_edges"] = [[u, v] for u, v in sorted(sol.delete_set)]
+        if feasible and args.verify:
+            verdict = check_solution(inst.graph, inst.family, inst.k, sol)
+            report.update(verdict)
+            if verdict != {"verified_family_free": True}:
+                status = 1
     else:
         report["minimum"] = best
     _emit_report(report, args.report)
-    if not verified:
-        return 1
-    return EXIT_OK if feasible else EXIT_NO
+    return status
 
 
 def cmd_generate(args) -> int:
@@ -203,9 +192,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    t0 = time.perf_counter()
     result = run_bench(args.seed)
     report = {"command": "bench", "seed": args.seed, "result": result,
-              "timings": {"total": sum(r["timings"]["total"] for r in result["rows"])}}
+              "timings": {"total": round(time.perf_counter() - t0, 6)}}
     _emit_report(report, args.report)
     return EXIT_OK if result["bound_violations"] == 0 else 1
 
@@ -255,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=("branching", "brute", "brute-edit"),
                    default="branching")
     p.add_argument("--verify", action="store_true",
-                   help="re-check that the solution leaves a family-free graph")
+                   help="check the deletion set on the input (branching engine only)")
     p.add_argument("--cap", type=_at_least(0), help="override the brute-force enumeration cap")
     p.add_argument("--report", help="write the JSON report here instead of stdout")
     p.set_defaults(func=cmd_solve)
@@ -303,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="write the JSON report here instead of stdout")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("bench", help="time the pipeline and certify kernel bounds")
+    p = sub.add_parser("bench", help="kernelize a fixed corpus and check every kernel bound",
+                       description="Kernelize a seeded corpus; exit 1 on a kernel over its bound.")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--report", help="write the JSON report here instead of stdout")
     p.set_defaults(func=cmd_bench)
@@ -313,6 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "solve" and args.verify and args.engine != "branching":
+        parser.error(f"solve --verify needs --engine branching, not {args.engine}")
     checks.set_debug_assertions(args.debug_assert)
     try:
         return args.func(args)

@@ -174,37 +174,38 @@ class Graph:
 
     # -- connectivity ------------------------------------------------------
 
-    def connected_components(self) -> list[set[int]]:
-        """Partition of the vertices into maximal connected sets.
-
-        Components are ordered by their smallest member id.
-        """
-        seen: set[int] = set()
+    def connected_components(self, within: set[int] | None = None) -> list[set[int]]:
+        """Partition of the vertices, or of within, into the maximal
+        connected sets of g or g[within], ordered by smallest member id."""
+        unseen = set(self._adj if within is None else within)
         components = []
-        for start in sorted(self._adj):
-            if start not in seen:
-                comp = self.component(start)
-                seen |= comp
-                components.append(comp)
+        for start in sorted(unseen):
+            if start in unseen:
+                components.append(self.component(start, unseen))
         return components
 
-    def component(self, v: int) -> set[int]:
-        """The vertices connected to v, v included."""
+    def component(self, v: int, within: set[int] | None = None) -> set[int]:
+        """The vertices connected to v, v included, in g or in g[within].
+        The walk takes the vertices it reaches out of within, so the
+        components of one set cost one pass over it and its edges."""
         self._require(v)
         comp = {v}
         stack = [v]
+        if within is not None:
+            within.discard(v)
         while stack:
-            u = stack.pop()
-            for w in self._adj[u]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
+            nbrs = self._adj[stack.pop()]
+            found = nbrs - comp if within is None else nbrs & within
+            if within is not None:
+                within -= found
+            comp |= found
+            stack.extend(found)
         return comp
 
     def neighborhood_components(self, v: int) -> list[set[int]]:
         """Connected components of g[N(v)], ordered by smallest member id."""
         self._require(v)
-        return self.induced_subgraph(self._adj[v]).connected_components()
+        return self.connected_components(self._adj[v])
 
     # -- validation --------------------------------------------------------
 

@@ -7,13 +7,15 @@ deletion instance in three stages: subdivide every edge twice (making the
 graph triangle-free, budget k + |E|), attach s pendant leaves to every
 vertex (turning vertex cover into star-free vertex deletion), and join a
 universal vertex (turning vertex deletion into edge deletion, since every
-induced s-diamond of the result passes through the new vertex).
+induced s-diamond of the result passes through the new vertex).  Each
+stage returns what it made, and ReductionTrace keeps it in named fields.
+lift_solution accepts only a set that solver.check_solution passes.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import DescriptorError, DiamondKernelError
@@ -21,7 +23,7 @@ from .family import FamilySpec
 from .graph import Graph, edge_key
 from .patterns import is_family_free
 from .phase1 import Instance
-from .solver import EditSolution, Solution
+from .solver import EditSolution, Solution, check_solution
 
 
 # -- random and planted instances ---------------------------------------------
@@ -107,49 +109,43 @@ def gen_hard_structure(k: int) -> Instance:
 # -- reduction pipeline ---------------------------------------------------------
 
 @dataclass
-class Stage:
-    kind: str
-    data: dict = field(default_factory=dict)
-
-
-@dataclass
 class ReductionTrace:
-    """Per-stage bookkeeping sufficient to pull a solution of the final
-    instance back to a vertex cover of the original graph.
+    """What lift_solution and the trace file need: the original graph and
+    the interior path of each edge, the starred graph and each vertex's
+    leaves, the reduced graph and its universal vertex w.  Only the trace
+    holds the starred graph; the other two graphs are copies."""
 
-    Each stage keeps one graph copy, the one a reader needs: subdivide its
-    input (the original graph lift_solution covers), stars its output, and
-    universal its output (the reduced graph a solution is checked on).  The
-    other copies would repeat the neighbouring stage's graph."""
-
-    stages: list[Stage] = field(default_factory=list)
-
-    def stage(self, kind: str) -> Stage:
-        for st in self.stages:
-            if st.kind == kind:
-                return st
-        raise KeyError(f"trace has no stage {kind!r}")
+    original: Graph
+    interior: dict[tuple[int, int], tuple[int, int]]
+    starred: Graph
+    leaves: dict[int, tuple[int, ...]]
+    reduced: Graph
+    w: int
+    s: int
+    k_original: int
+    k_final: int
 
     def as_dict(self) -> dict:
-        out = []
-        for st in self.stages:
-            entry = {"kind": st.kind}
-            for key, value in st.data.items():
-                if key in ("graph_before", "graph_after"):
-                    entry[key] = {"n": value.n, "edges": sorted(value.edges())}
-                elif key == "interior":
-                    entry[key] = {f"{u},{v}": list(pair) for (u, v), pair in sorted(value.items())}
-                elif key == "leaves":
-                    entry[key] = {str(v): sorted(leaves) for v, leaves in sorted(value.items())}
-                else:
-                    entry[key] = value
-            out.append(entry)
-        return {"stages": out}
+        def graph(g: Graph) -> dict:
+            return {"n": g.n, "edges": sorted(g.edges())}
+
+        return {"stages": [
+            {"kind": "subdivide", "graph_before": graph(self.original),
+             "interior": {f"{u},{v}": list(pair) for (u, v), pair in sorted(self.interior.items())},
+             "k_offset": self.k_final - self.k_original},
+            {"kind": "stars", "graph_after": graph(self.starred),
+             "leaves": {str(v): sorted(leaves) for v, leaves in sorted(self.leaves.items())}},
+            {"kind": "universal", "graph_after": graph(self.reduced), "w": self.w},
+            {"kind": "instance", "s": self.s, "k_original": self.k_original,
+             "k_final": self.k_final},
+        ]}
 
 
-def subdivide_twice(g: Graph, k: int) -> tuple[Graph, int, ReductionTrace]:
+def subdivide_twice(g: Graph, k: int
+                    ) -> tuple[Graph, int, dict[tuple[int, int], tuple[int, int]]]:
     """Replace every edge u-v by a path u-x1-x2-v; the vertex-cover budget
-    becomes k + |E|, and the output is triangle-free."""
+    becomes k + |E|, and the output is triangle-free.  Returns the new
+    graph, the budget, and the interior (x1, x2) of each edge's path."""
     out = Graph.from_vertices_and_edges(g.vertices, ())
     interior: dict[tuple[int, int], tuple[int, int]] = {}
     for u, v in g.edges():
@@ -159,15 +155,14 @@ def subdivide_twice(g: Graph, k: int) -> tuple[Graph, int, ReductionTrace]:
         out.add_edge(x1, x2)
         out.add_edge(x2, v)
         interior[(u, v)] = (x1, x2)
-    trace = ReductionTrace([Stage("subdivide", {
-        "graph_before": g.copy(), "interior": interior, "k_offset": g.m})])
-    return out, k + g.m, trace
+    return out, k + g.m, interior
 
 
-def attach_stars(g: Graph, leaves_per_vertex: int) -> tuple[Graph, ReductionTrace]:
+def attach_stars(g: Graph, leaves_per_vertex: int) -> tuple[Graph, dict[int, tuple[int, ...]]]:
     """Give every vertex leaves_per_vertex fresh pendant leaves.  Preserves
     triangle-freeness; with leaves_per_vertex = s this turns vertex cover
-    into induced-K_{1,s+1}-free vertex deletion."""
+    into induced-K_{1,s+1}-free vertex deletion.  Returns the new graph and
+    the leaves of each vertex."""
     if leaves_per_vertex < 1:
         raise ValueError("need at least one leaf per vertex")
     out = g.copy()
@@ -179,13 +174,12 @@ def attach_stars(g: Graph, leaves_per_vertex: int) -> tuple[Graph, ReductionTrac
             out.add_edge(v, leaf)
             added.append(leaf)
         leaves[v] = tuple(added)
-    trace = ReductionTrace([Stage("stars", {"graph_after": out.copy(), "leaves": leaves})])
-    return out, trace
+    return out, leaves
 
 
-def add_universal(g: Graph) -> tuple[Graph, ReductionTrace]:
+def add_universal(g: Graph) -> tuple[Graph, int]:
     """Join a fresh vertex to everything.  Requires a triangle-free input so
-    the output stays K4-free."""
+    the output stays K4-free.  Returns the new graph and the fresh vertex."""
     for x, y in g.edges():
         common = g.neighbors(x) & g.neighbors(y)
         if common:
@@ -195,8 +189,7 @@ def add_universal(g: Graph) -> tuple[Graph, ReductionTrace]:
     w = out.add_vertex()
     for v in g.vertices:
         out.add_edge(w, v)
-    trace = ReductionTrace([Stage("universal", {"graph_after": out.copy(), "w": w})])
-    return out, trace
+    return out, w
 
 
 def reduce_vc_to_sdfed(g: Graph, k: int, s: int = 1) -> tuple[Instance, ReductionTrace]:
@@ -207,11 +200,10 @@ def reduce_vc_to_sdfed(g: Graph, k: int, s: int = 1) -> tuple[Instance, Reductio
     """
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
-    subdivided, k1, t1 = subdivide_twice(g, k)
-    starred, t2 = attach_stars(subdivided, s)
-    final, t3 = add_universal(starred)
-    trace = ReductionTrace(t1.stages + t2.stages + t3.stages)
-    trace.stages.append(Stage("instance", {"s": s, "k_original": k, "k_final": k1}))
+    subdivided, k1, interior = subdivide_twice(g, k)
+    starred, leaves = attach_stars(subdivided, s)
+    final, w = add_universal(starred)
+    trace = ReductionTrace(g.copy(), interior, starred, leaves, final.copy(), w, s, k, k1)
     return Instance(final, k1, FamilySpec.s_diamond(s)), trace
 
 
@@ -230,54 +222,26 @@ def lift_solution(trace: ReductionTrace, sol: Solution | EditSolution) -> set[in
     """
     if not sol.feasible:
         raise ValueError("cannot lift an infeasible solution")
-    info = trace.stage("instance").data
-    universal = trace.stage("universal").data
-    stars = trace.stage("stars").data
-    subdiv = trace.stage("subdivide").data
-    w = universal["w"]
-    final = universal["graph_after"]
-    s = info["s"]
-
-    toggles = set(sol.delete_set)
-    if isinstance(sol, EditSolution):
-        toggles |= set(sol.add_set)
-    if len(toggles) > info["k_final"]:
-        raise ValueError("solution exceeds the reduced budget")
-    check = final.copy()
-    for u, v in sol.delete_set:
-        if not check.has_edge(u, v):
-            raise ValueError(f"deletion {u}-{v} is not an edge of the reduced graph")
-        check.remove_edge(u, v)
-    if isinstance(sol, EditSolution):
-        for u, v in sol.add_set:
-            check.add_edge(u, v)
-    if not is_family_free(check, FamilySpec.s_diamond(s)):
-        raise ValueError("solution does not solve the reduced instance")
-
-    rewritten = set()
-    for u, v in toggles:
-        if w in (u, v):
-            rewritten.add(edge_key(u, v))
-        else:
-            rewritten.add(edge_key(w, min(u, v)))
-    star_deletions = {v for e in rewritten for v in e if v != w}
+    verdict = check_solution(trace.reduced, FamilySpec.s_diamond(trace.s), trace.k_final, sol)
+    if verdict != {"verified_family_free": True}:
+        raise ValueError(f"solution does not solve the reduced instance: {verdict}")
+    w = trace.w
+    toggles = sol.delete_set | sol.add_set
+    star_deletions = {u if v == w else v if u == w else min(u, v) for u, v in toggles}
 
     # Undo star attachment: a deleted leaf works exactly like its center.
-    leaf_owner = {leaf: v for v, leaves in stars["leaves"].items() for leaf in leaves}
+    leaf_owner = {leaf: v for v, leaves in trace.leaves.items() for leaf in leaves}
     cover_subdivided = {leaf_owner.get(v, v) for v in star_deletions}
 
     # Undo subdivision: interior path vertices are traded for the cheaper
     # endpoint of any original edge left uncovered.
-    original: Graph = subdiv["graph_before"]
+    original = trace.original
     cover = cover_subdivided & original.vertex_set()
     for u, v in original.edges():
         if u not in cover and v not in cover:
             cover.add(min(u, v))
 
-    budget = info["k_original"]
+    budget = trace.k_original
     if len(cover) > budget:
         raise ValueError(f"lifted cover has {len(cover)} vertices, budget {budget}")
-    uncovered = [(u, v) for u, v in original.edges() if u not in cover and v not in cover]
-    if uncovered:
-        raise ValueError(f"lifted set misses edges {uncovered}")
     return cover

@@ -12,6 +12,8 @@ bitmasks over vertex-pair indices, and decide feasibility by mask
 arithmetic alone (deletion is editing restricted to the present pairs).
 That keeps them independent of the detection code they are used to
 certify, and fast enough to sweep thousands of desk-scale instances.
+check_solution is not an oracle: it checks one given set against one
+instance, so it can confirm a "yes" but never show a "no" or a minimum.
 """
 
 from __future__ import annotations
@@ -19,13 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
+from typing import ClassVar
 
 from .checks import debug_check
 from .errors import GuardError
 from .family import FamilySpec
 from .graph import Graph, edge_key
 from .patterns import (OccurrenceIndex, fewest_conflicts_packing, find_induced_occurrence,
-                       max_edges_per_occurrence)
+                       is_family_free, max_edges_per_occurrence)
 from .phase1 import Instance
 
 DEFAULT_ORACLE_CAP = 10_000_000
@@ -49,6 +52,7 @@ class Solution:
 
     delete_set: frozenset[tuple[int, int]] | None
     nodes: int = field(default=0, compare=False)
+    add_set: ClassVar[frozenset[tuple[int, int]]] = frozenset()   # as in an EditSolution
 
     @property
     def feasible(self) -> bool:
@@ -75,6 +79,27 @@ class EditSolution:
     @classmethod
     def infeasible(cls) -> "EditSolution":
         return cls(None, None)
+
+
+def check_solution(g: Graph, fam: FamilySpec, k: int, sol: Solution | EditSolution) -> dict:
+    """The one definition of a valid solution: the feasible sol deletes only
+    edges of g, toggles at most k pairs (with the additions of an
+    EditSolution) and leaves g free of fam.  The result holds
+    verified_family_free, plus non_edges and over_budget when they apply,
+    so sol is valid exactly when it is {"verified_family_free": True}."""
+    h = g.copy()
+    non_edges = [[u, v] for u, v in sorted(sol.delete_set) if not h.has_edge(u, v)]
+    for u, v in sol.delete_set:
+        if h.has_edge(u, v):
+            h.remove_edge(u, v)
+    for u, v in sol.add_set:
+        h.add_edge(u, v)
+    verdict = {"verified_family_free": is_family_free(h, fam)}
+    if non_edges:
+        verdict["non_edges"] = non_edges
+    if len(sol.delete_set) + len(sol.add_set) > k:
+        verdict["over_budget"] = len(sol.delete_set) + len(sol.add_set) - k
+    return verdict
 
 
 # -- branching solver ---------------------------------------------------------

@@ -134,8 +134,8 @@ def reduction_results(reduction_corpus):
         deletion_sol = solve_branching(inst)
         editing = editing_feasible(inst.graph, inst.family, inst.k)
         k4_free = is_family_free(inst.graph, FamilySpec(clique=4))
-        w = trace.stage("universal").data["w"]
-        starred = trace.stage("stars").data["graph_after"]
+        w = trace.w
+        starred = trace.starred
         occs_ok = True
         for occ in iter_sdiamond_occurrences(inst.graph, s):
             rest = set(occ.vertices) - {w}

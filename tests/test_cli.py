@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import diamondkernel
-from diamondkernel import cli, phase1, phase2
+from diamondkernel import cli, harness, phase1, phase2
 from diamondkernel.cli import main, report_digest
 from diamondkernel.errors import InvariantError, ParseError
 from diamondkernel.family import FamilySpec
@@ -17,7 +17,7 @@ from diamondkernel.graph import Graph
 from diamondkernel.harness import verify_rule_safety
 from diamondkernel.io import MAX_VERTICES, parse_instance, serialize_instance
 from diamondkernel.phase1 import Instance
-from diamondkernel.solver import Solution
+from diamondkernel.solver import Solution, solve_branching
 
 from conftest import diamond_graph
 
@@ -172,6 +172,37 @@ def test_usage_error_exit(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_solve_verify_needs_the_branching_engine(tmp_path, capsys):
+    # the brute engines return a minimum, not a set that --verify could check
+    path = write(tmp_path, "d.txt", DIAMOND_FILE)
+    for engine in ("brute", "brute-edit"):
+        with pytest.raises(SystemExit) as info:
+            main(["solve", "-i", path, "--engine", engine, "--verify"])
+        assert info.value.code == 2
+        assert "--verify needs --engine branching" in capsys.readouterr().err
+
+
+def _refuse_open(*args, **kwargs):
+    raise PermissionError(13, "Permission denied", args[0])
+
+
+@pytest.mark.parametrize("case", ["directory", "permission", "not-utf-8"])
+def test_unreadable_input_is_a_usage_error(case, tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "d.txt", DIAMOND_FILE)
+    if case == "directory":
+        path = str(tmp_path)
+    elif case == "permission":
+        # a patched open, since a privileged user may read any file
+        monkeypatch.setattr(cli, "open", _refuse_open, raising=False)
+    else:
+        Path(path).write_bytes(b"c \xff\xfe\n" + DIAMOND_FILE.encode())
+    for argv in (["kernelize", "-i", path], ["solve", "-i", path],
+                 ["generate", "reduce-vc", "-i", path]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
+
+
 def test_failed_debug_assertion_is_a_program_fault(tmp_path, capsys, monkeypatch):
     # a failed invariant is not a usage error: it escapes main, and the
     # interpreter ends the run with exit 1 and a traceback
@@ -317,6 +348,22 @@ def test_verify_catches_injected_bug(monkeypatch):
     result = verify_rule_safety(trials=60, max_n=8, seed=2, family=FamilySpec.diamond())
     assert not result["pass"]
     assert result["rules"]["sunflower"]["failure_count"] > 0
+
+
+def test_verify_checks_the_solver_deletion_sets(monkeypatch):
+    # a solver that drops one edge from every set it returns keeps its
+    # feasibility answers, so only a check of the returned sets catches it
+    def drop_one(inst):
+        sol = solve_branching(inst)
+        if not sol.delete_set:
+            return sol
+        return Solution.of(sorted(sol.delete_set)[1:], sol.nodes)
+
+    monkeypatch.setattr(harness, "solve_branching", drop_one)
+    result = verify_rule_safety(trials=60, max_n=8, seed=3, family=FamilySpec.diamond(),
+                                check_solver=True)
+    assert not result["pass"]
+    assert result["solver_cross_check"]["failure_count"] > 0
 
 
 def test_bench_command(capsys):

@@ -66,6 +66,34 @@ def test_connected_components():
     assert path_graph(3).connected_components() == [{0, 1, 2}]
 
 
+def test_components_within_a_vertex_set():
+    # restricted to a vertex set, the walk never leaves it
+    two_triangles = Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+    assert path_graph(3).connected_components({0, 2}) == [{0}, {2}]
+    assert two_triangles.connected_components({0, 1, 3, 4}) == [{0, 1}, {3, 4}]
+    assert two_triangles.component(1, {0, 1, 3}) == {0, 1}
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_graphs())
+def test_neighborhood_components_match_induced_subgraph(g):
+    for v in g.vertices:
+        expected = g.induced_subgraph(g.neighbors(v)).connected_components()
+        assert g.neighborhood_components(v) == expected
+    evens = {v for v in g.vertices if v % 2 == 0}
+    assert g.connected_components(evens) == g.induced_subgraph(evens).connected_components()
+    assert evens == {v for v in g.vertices if v % 2 == 0}   # within is not consumed
+
+
+def test_neighborhood_components_copy_no_subgraph(monkeypatch):
+    def refuse(self, vs):
+        raise AssertionError("neighborhood_components copied a subgraph")
+
+    monkeypatch.setattr(Graph, "induced_subgraph", refuse)
+    assert bowtie_graph().neighborhood_components(0) == [{1, 2}, {3, 4}]
+    assert diamond_graph().neighborhood_components(1) == [{0, 2, 3}]
+
+
 def test_induced_subgraph_cases():
     k4 = complete_graph(4)
     tri = k4.induced_subgraph({0, 1, 2})

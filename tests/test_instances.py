@@ -171,8 +171,8 @@ def test_reduced_graphs_are_k4_free_with_w_in_every_occurrence():
             n = rng.randint(1, 5)
             base = gen_gnp(n, 0.5, rng.getrandbits(32))
             inst, trace = reduce_vc_to_sdfed(base, rng.randint(0, 2), s)
-            w = trace.stage("universal").data["w"]
-            starred = trace.stage("stars").data["graph_after"]
+            w = trace.w
+            starred = trace.starred
             assert not list(iter_clique_occurrences(inst.graph, 4))
             for occ in iter_sdiamond_occurrences(inst.graph, s):
                 assert w in occ.vertices
