@@ -105,6 +105,24 @@ def test_kernelize_writes_kernel_file(tmp_path, capsys):
     assert kern.graph == diamond_graph()
 
 
+@pytest.mark.parametrize("seed,digest", [
+    ("1", "1712c1d9512efa0a668f83cbe5426f4aefb8261b20ab33189e0a53d2133bde7c"),
+    ("2", "6975bbf195ad73ecc7cbf201e08d3c58b0a6a8ec3f7bfada95b525063d5c0ec6"),
+    ("3", "6ed83af53bc6bff4d85e9516effe951192849a9d85f3a80077c65b46aa70e9f6"),
+])
+def test_kernelize_twin_rich_digests_are_pinned(seed, digest, tmp_path, capsys):
+    # chains of four 30-cliques with 3 extra edges: the irrelevant-edge,
+    # vertex-split and component rules and clique reduction all fire, so
+    # the digest pins the firings, stages and kernel shape
+    path = str(tmp_path / "planted.txt")
+    assert main(["generate", "planted", "--sizes", "30,30,30,30", "--glue", "chain",
+                 "--extra", "3", "--seed", seed, "-o", path]) == 0
+    assert main(["kernelize", "-i", path]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["kernelization"]["clique_reductions"] == 2
+    assert report["digest"] == digest
+
+
 def test_solve_exit_codes(tmp_path, capsys):
     path = write(tmp_path, "d.txt", DIAMOND_FILE)
     assert main(["solve", "-i", path, "--verify"]) == 0
