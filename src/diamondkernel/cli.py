@@ -5,12 +5,12 @@ with a schema_version and a digest over the deterministic fields (timings
 are excluded), so a command repeated with the same flags and seed produces
 byte-identical instance files and the same digest.
 
-Exit codes: 0 success / feasible / kernelized, 10 decided-no / infeasible,
-2 usage, parse or input-reading error, 3 size-guard refusal, 1 when verify
-or solve --verify finds a failed check or bench a kernel over its bound.
-Arguments are range-checked by argparse, so any other exception is a fault
-of the program and ends the run with its traceback (also exit 1); so does a
-failed --debug-assert check.
+Exit codes: 0 success / feasible / kernelized, 10 decided-no / infeasible, 2
+usage, parse, or input- or output-path error, 3 size-guard refusal, 1 when
+verify or solve --verify finds a failed check or bench a kernel over its
+bound.  Arguments are range-checked by argparse, so any other exception is a
+fault of the program and ends the run with its traceback (also exit 1); so
+does a failed --debug-assert check.
 """
 
 from __future__ import annotations
@@ -312,7 +312,7 @@ def main(argv=None) -> int:
     except GuardError as exc:
         print(f"guard refusal: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (ParseError, DescriptorError, FamilyError, FileNotFoundError) as exc:
+    except (ParseError, DescriptorError, FamilyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -9,8 +9,10 @@ counter.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping
 
+from .checks import debug_assertions_enabled, debug_check
 from .errors import UnknownVertexError
 
 
@@ -25,6 +27,7 @@ class Graph:
     def __init__(self) -> None:
         self._adj: dict[int, set[int]] = {}
         self._next_id = 0
+        self._memo: dict[str, object] = {}
 
     # -- construction ------------------------------------------------------
 
@@ -56,6 +59,7 @@ class Graph:
         v = self._next_id
         self._adj[v] = set()
         self._next_id += 1
+        self._memo.clear()
         return v
 
     def add_vertex_with_id(self, v: int) -> int:
@@ -66,6 +70,7 @@ class Graph:
         self._adj[v] = set()
         if v >= self._next_id:
             self._next_id = v + 1
+        self._memo.clear()
         return v
 
     def add_edge(self, u: int, v: int) -> None:
@@ -75,18 +80,21 @@ class Graph:
         self._require(v)
         self._adj[u].add(v)
         self._adj[v].add(u)
+        self._memo.clear()
 
     def remove_edge(self, u: int, v: int) -> None:
         self._require(u)
         self._require(v)
         self._adj[u].discard(v)
         self._adj[v].discard(u)
+        self._memo.clear()
 
     def remove_vertex(self, v: int) -> None:
         self._require(v)
         for u in self._adj[v]:
             self._adj[u].discard(v)
         del self._adj[v]
+        self._memo.clear()
 
     def remove_vertices(self, vs: Iterable[int]) -> None:
         for v in sorted(vs):
@@ -144,6 +152,22 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+    def memo(self, key: str, compute: Callable[["Graph"], object]) -> object:
+        """compute(self), a value no caller can edit, kept until the next
+        mutation; under debug assertions a kept value is checked afresh."""
+        if key not in self._memo:
+            self._memo[key] = compute(self)
+        elif debug_assertions_enabled():
+            debug_check(self._memo[key] == compute(self), f"kept {key} is stale")
+        return self._memo[key]
+
+    def twin_classes(self) -> Mapping[int, int]:
+        """Each vertex, ascending, mapped to the smallest vertex with the
+        same closed neighbourhood N[v]: its class of true twins."""
+        first: dict[frozenset[int], int] = {}
+        return self.memo("twin_classes", lambda g: MappingProxyType(
+            {v: first.setdefault(frozenset(g._adj[v]) | {v}, v) for v in sorted(g._adj)}))
 
     # -- derived graphs ----------------------------------------------------
 

@@ -37,9 +37,15 @@ N[v]) rather than once per vertex: the vertices of a clique C whose only
 outside neighbours are the common set A_C, the local vertices that clique
 reduction deletes, all have N[v] = C | A_C, and twins get the same verdict
 since swapping them is an isomorphism of the graph (as in the critical
-cliques of Guo's cluster-editing kernel, TCS 2009).  The index's toggle and
-mask refreshes are local already and stay unfiltered, and so does
-iter_sdiamond_occurrences, the reference the tests compare with.
+cliques of Guo's cluster-editing kernel, TCS 2009; keying by the open
+neighbourhood would split every clique).  Graph.twin_classes() and
+centre_edges(g) are kept in g.memo, computed once per graph state: every
+mutation of g clears them.  The index's toggle and mask refreshes are local
+already and stay unfiltered, and so does iter_sdiamond_occurrences, the
+reference the tests compare with.  component_is_family_free tests a
+component C in place, keying its tests by N[v] so that it costs only C:
+every neighbourhood in C lies in C, so C's centre edges and s-diamonds are
+those of g[C], and a K_t search from C stays in C.
 
 OccurrenceIndex stores that per-edge first occurrence for every edge, so
 the minimum over its entries is the scan's answer.  Whether xy centres an
@@ -152,33 +158,46 @@ def _clusters_neighbourhood(g: Graph, x: int) -> bool:
     return True
 
 
-def centre_edges(g: Graph) -> list[tuple[int, int]]:
-    """The edges of g, in g.edges() order, that may be the middle edge of
-    an s-diamond: both ends have degree > 2 and an unclustered neighbourhood.
-
-    The neighbourhood test runs once per class of true twins, keyed by the
-    closed neighbourhood N[v]: if N[x] = N[x'], swapping x and x' maps
-    G[N(x)] onto G[N(x')], so both get the same verdict.  Keying by the
-    open neighbourhood N(v) would be exact as well, but the vertices of a
-    clique all have different open neighbourhoods, and clique vertices are
-    the ones worth sharing (see the module docstring).
-    """
-    verdicts: dict[frozenset[int], bool] = {}
+def _centre_edges_within(g: Graph, vertices, twin_key) -> list[tuple[int, int]]:
+    """centre_edges inside a union of components, one test per twin_key(v)."""
+    verdicts: dict[object, bool] = {}
     centres = set()
-    for v in g.vertex_set():
+    for v in vertices:
         if g.degree(v) > 2:
-            closed = frozenset(g.neighbors(v)) | {v}
-            if closed not in verdicts:
-                verdicts[closed] = not _clusters_neighbourhood(g, v)
-            if verdicts[closed]:
+            key = twin_key(v)
+            if key not in verdicts:
+                verdicts[key] = not _clusters_neighbourhood(g, v)
+            if verdicts[key]:
                 centres.add(v)
     kept = sorted((x, y) for x in centres for y in g.neighbors(x) & centres if x < y)
     if debug_assertions_enabled():
-        for x, y in g.edge_set().difference(kept):
+        for x, y in {(x, y) for x in vertices for y in g.neighbors(x) if x < y}.difference(kept):
             common = g.neighbors(x) & g.neighbors(y)
             debug_check(all(common - {z} <= g.neighbors(z) for z in common),
                         f"edge {x}-{y} left out, but its common neighbourhood has a non-edge")
     return kept
+
+
+def centre_edges(g: Graph) -> list[tuple[int, int]]:
+    """The edges of g, in g.edges() order, that may be the middle edge of
+    an s-diamond: both ends have degree > 2 and an unclustered neighbourhood.
+
+    The neighbourhood test runs once per class of g.twin_classes(), and
+    the answer is kept until g changes; each call returns a fresh list.
+    """
+    return list(g.memo("centre_edges", lambda g: tuple(
+        _centre_edges_within(g, g.vertex_set(), g.twin_classes().__getitem__))))
+
+
+def component_is_family_free(g: Graph, component: set[int], fam: FamilySpec) -> bool:
+    """is_family_free(g.induced_subgraph(component), fam) without the copy,
+    for a union of components of g (see the module docstring)."""
+    if fam.sdiamond is not None:
+        kept = _centre_edges_within(g, component, lambda v: frozenset(g.neighbors(v)) | {v})
+        if any(_first_centred(g, x, y, fam.sdiamond, ()) is not None for x, y in kept):
+            return False
+    return fam.clique is None or next(
+        iter_clique_occurrences(g, fam.clique, within=component), None) is None
 
 
 def _first_sdiamond_occurrence(g: Graph, s: int,
@@ -210,11 +229,11 @@ def iter_sdiamond_occurrences(g: Graph, s: int,
             yield _sdiamond_occurrence(x, y, group, s)
 
 
-def iter_clique_occurrences(g: Graph, t: int,
-                            avoid_edges: frozenset | set | None = None) -> Iterator[PatternOccurrence]:
-    """All induced K_t of g (edge-disjoint from avoid_edges when given), ascending tuples."""
+def iter_clique_occurrences(g: Graph, t: int, avoid_edges: frozenset | set | None = None,
+                            within: set[int] | None = None) -> Iterator[PatternOccurrence]:
+    """All induced K_t of g (avoiding avoid_edges, inside within, if given), ascending tuples."""
     avoid = avoid_edges or ()
-    verts = g.vertices
+    verts = g.vertices if within is None else sorted(within)
 
     def extend(chosen: tuple[int, ...], candidates: list[int]) -> Iterator[tuple[int, ...]]:
         if len(chosen) == t:

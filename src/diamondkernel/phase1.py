@@ -7,6 +7,13 @@ reproducibility.  The driver fires what rescanning the table from its top
 after every firing would fire, in the same order, but a firing changes
 verdicts only near what it touched, so each rule rescans just the items
 whose verdict may have changed; run_phase1 states the locality facts.
+
+A full scan of the edge or split rule decides once per pair of twin
+classes or per class (Graph.twin_classes()): swapping two true twins is
+an automorphism, so the edges between two classes share their core
+membership and twins' neighbourhoods have as many components; the first
+item of each fires exactly when all would.  Worklist scans stay per
+item: they follow a firing, which clears the classes.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from .checks import debug_assertions_enabled, debug_check
 from .family import FamilySpec
 from .graph import Graph, edge_key
 from .matching import maximum_non_matching_size
-from .patterns import centre_edges, is_core_member_edge, is_family_free
+from .patterns import centre_edges, component_is_family_free, is_core_member_edge
 
 
 @dataclass
@@ -93,8 +100,8 @@ def replay(log: RuleLog, graph: Graph) -> Graph:
 
 # -- the four rules ----------------------------------------------------------
 #
-# The edge, split and component rules take an optional scope.  None examines
-# every edge or vertex, in a sorted scan.  A _Worklist, which only the
+# The edge, split and component rules take an optional scope.  None is a
+# sorted full scan (per twin class, see above).  A _Worklist, which only the
 # driver makes, is what the rule has not examined yet: the rule takes its
 # items out in ascending order as it examines them, skipping those no
 # longer in the graph, so after a firing it holds exactly what the rule has
@@ -129,11 +136,20 @@ def _drain(scope: _Worklist, present: Callable[[object], bool]) -> Iterator:
                 yield item
 
 
+def _class_edges(g: Graph) -> list[tuple[int, int]]:
+    """The smallest edge of each pair of twin classes, ascending: (a, b) for
+    classes named a < b, (a, a') inside a class a whose next member is a'."""
+    twin = g.twin_classes()
+    inside = {rep: v for v, rep in reversed(twin.items()) if v != rep}
+    return sorted([(v, u) for v, rep in twin.items() if v == rep
+                   for u in g.neighbors(v) if u > v and twin[u] == u] + list(inside.items()))
+
+
 def rule_irrelevant_edge(inst: Instance,
                          scope: _Worklist | None = None) -> tuple[int, int] | None:
     """Delete the smallest edge that lies in no family pattern as a subgraph."""
     g = inst.graph
-    edges = list(g.edges()) if scope is None else _drain(scope, lambda e: g.has_edge(*e))
+    edges = _class_edges(g) if scope is None else _drain(scope, lambda e: g.has_edge(*e))
     for e in edges:
         if not is_core_member_edge(g, e, inst.family):
             g.remove_edge(*e)
@@ -175,7 +191,8 @@ def rule_vertex_split(inst: Instance, scope: _Worklist | None = None
     the vertex_split event that replay re-applies.
     """
     g = inst.graph
-    candidates = g.vertices if scope is None else _drain(scope, g.has_vertex)
+    candidates = ([v for v, rep in g.twin_classes().items() if v == rep] if scope is None
+                  else _drain(scope, g.has_vertex))
     for v in candidates:
         components = g.neighborhood_components(v)
         if len(components) < 2:
@@ -208,7 +225,7 @@ def rule_irrelevant_component(inst: Instance,
     for component in components:
         if scope is not None:
             scope -= component
-        if is_family_free(g.induced_subgraph(component), inst.family):
+        if component_is_family_free(g, component, inst.family):
             g.remove_vertices(component)
             return frozenset(component)
     return None

@@ -221,6 +221,31 @@ def test_unreadable_input_is_a_usage_error(case, tmp_path, capsys, monkeypatch):
         assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
 
 
+def _refuse_writing(path, mode="r", *args, **kwargs):
+    if "w" in mode:
+        raise PermissionError(13, "Permission denied", path)
+    return open(path, mode, *args, **kwargs)
+
+
+@pytest.mark.parametrize("case", ["directory", "permission"])
+def test_unwritable_output_is_a_usage_error(case, tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "d.txt", DIAMOND_FILE)
+    out = str(tmp_path)
+    if case == "permission":
+        # a patched open, since a privileged user may write anywhere
+        out = str(tmp_path / "out.txt")
+        monkeypatch.setattr(cli, "open", _refuse_writing, raising=False)
+    for argv in (["generate", "hard", "--k", "2", "-o", out],
+                 ["generate", "reduce-vc", "-i", path, "-o", out],
+                 ["kernelize", "-i", path, "--out", out],
+                 ["kernelize", "-i", path, "--report", out],
+                 ["solve", "-i", path, "--report", out],
+                 ["verify", "--trials", "1", "--max-n", "4", "--report", out]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and out in err and err.count("\n") == 1
+
+
 def test_failed_debug_assertion_is_a_program_fault(tmp_path, capsys, monkeypatch):
     # a failed invariant is not a usage error: it escapes main, and the
     # interpreter ends the run with exit 1 and a traceback

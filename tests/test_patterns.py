@@ -3,12 +3,13 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diamondkernel import patterns
-from diamondkernel.errors import FamilyError, NotDiamondFreeError
+from diamondkernel import checks, patterns
+from diamondkernel.errors import FamilyError, InvariantError, NotDiamondFreeError
 from diamondkernel.family import FamilySpec
 from diamondkernel.graph import Graph, edge_key
 from diamondkernel.patterns import (OccurrenceIndex, _clusters_neighbourhood, centre_edges,
-                                    clique_partition, fewest_conflicts_packing,
+                                    clique_partition, component_is_family_free,
+                                    fewest_conflicts_packing,
                                     find_induced_occurrence, greedy_packing,
                                     is_core_member_edge, is_family_free,
                                     iter_clique_occurrences, iter_sdiamond_occurrences)
@@ -199,6 +200,70 @@ def test_cluster_test_runs_once_per_class_of_true_twins(monkeypatch):
         kept = centre_edges(g)
         assert len(calls) == 2 * k + 2
         assert kept == centre_edges_per_vertex(g)
+
+
+def twin_classes_by_definition(g):
+    closed = {v: g.neighbors(v) | {v} for v in g.vertices}
+    return {v: min(u for u in g.vertices if closed[u] == closed[v]) for v in g.vertices}
+
+
+MUTATORS = ("add_vertex", "add_vertex_with_id", "add_edge", "remove_edge", "remove_vertex")
+
+
+@settings(max_examples=200, deadline=None)
+@given(blow_ups(), st.lists(st.tuples(st.sampled_from(MUTATORS), st.integers(0, 99),
+                                      st.integers(0, 99)), max_size=8))
+def test_kept_results_follow_every_mutation(g, steps):
+    # the comparisons below, not the memo's own debug cross-check, must
+    # catch a kept result that a mutation left stale
+    checks.set_debug_assertions(False)
+    for step in steps + [None]:
+        assert dict(g.twin_classes()) == twin_classes_by_definition(g)
+        assert centre_edges(g) == centre_edges_per_vertex(g)
+        if step is None:
+            return
+        name, i, j = step
+        vs, edges = g.vertices, list(g.edges())
+        if name == "add_vertex":
+            g.add_vertex()
+        elif name == "add_vertex_with_id":
+            g.add_vertex_with_id(max(vs, default=-1) + 1 + i % 3)
+        elif name == "add_edge" and len(vs) > 1 and vs[i % len(vs)] != vs[j % len(vs)]:
+            g.add_edge(vs[i % len(vs)], vs[j % len(vs)])
+        elif name == "remove_edge" and edges:
+            g.remove_edge(*edges[i % len(edges)])
+        elif name == "remove_vertex" and vs:
+            g.remove_vertex(vs[i % len(vs)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(blow_ups(), st.sampled_from([DIAMOND, FamilySpec.diamond_kt(4), FamilySpec.s_diamond(2)]))
+def test_component_test_in_place_equals_the_induced_copy(g, fam):
+    for component in g.connected_components():
+        assert (component_is_family_free(g, component, fam)
+                == is_family_free(g.induced_subgraph(component), fam))
+
+
+def test_debug_check_finds_a_kept_result_that_a_mutation_left(monkeypatch):
+    def remove_edge_keeping_memo(self, u, v):
+        self._adj[u].discard(v)
+        self._adj[v].discard(u)
+
+    # no two vertices are twins before or after 0-4 goes, but the centre edges change
+    g = Graph.from_edges(6, [(0, 1), (0, 4), (0, 5), (1, 2), (1, 5), (2, 3), (2, 5), (3, 5),
+                             (4, 5)])
+    assert centre_edges(g) == [(0, 1), (0, 5), (1, 2), (1, 5), (2, 5)]
+    # 1 and 2 are twins until 1-3 goes
+    d = diamond_graph()
+    assert dict(d.twin_classes()) == {0: 0, 1: 1, 2: 1, 3: 3}
+    monkeypatch.setattr(Graph, "remove_edge", remove_edge_keeping_memo)
+    g.remove_edge(0, 4)
+    assert dict(g.twin_classes()) == {v: v for v in range(6)}
+    with pytest.raises(InvariantError, match="kept centre_edges is stale"):
+        centre_edges(g)
+    d.remove_edge(1, 3)
+    with pytest.raises(InvariantError, match="kept twin_classes is stale"):
+        d.twin_classes()
 
 
 # -- core membership -----------------------------------------------------------------

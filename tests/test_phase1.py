@@ -2,7 +2,7 @@ from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
-from diamondkernel import phase1
+from diamondkernel import checks, phase1
 from diamondkernel.family import FamilySpec
 from diamondkernel.graph import Graph
 from diamondkernel.instances import clique_layout, gen_hard_structure, gen_planted_yes
@@ -11,11 +11,12 @@ from diamondkernel.phase1 import (Instance, RuleEvent, RuleLog, replay, rules,
                                   rule_irrelevant_edge, rule_sunflower, rule_vertex_split,
                                   run_phase1)
 from diamondkernel.matching import maximum_non_matching_size
-from diamondkernel.patterns import centre_edges
+from diamondkernel.patterns import centre_edges, is_core_member_edge
 from diamondkernel.phase2 import kernelize
 from diamondkernel.solver import brute_force_min_deletion
 
 from conftest import apex_gadgets, complete_graph, diamond_graph, path_graph
+from test_patterns import blow_ups
 
 DIAMOND = FamilySpec.diamond()
 
@@ -370,3 +371,48 @@ def test_phase1_heapifies_each_scope_once_on_clique_chains(monkeypatch):
         counts[n] = sum(items)
         assert counts[n] <= 6 * n
     assert counts[401] <= 2.5 * counts[201] and counts[801] <= 2.5 * counts[401]
+
+
+# -- full scans decide once per class of true twins ----------------------------------
+
+def irrelevant_edge_per_edge(inst):
+    g = inst.graph
+    return next((e for e in g.edges() if not is_core_member_edge(g, e, inst.family)), None)
+
+
+def split_vertex_per_vertex(inst):
+    g = inst.graph
+    return next((v for v in g.vertices if len(g.neighborhood_components(v)) > 1), None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(blow_ups(), st.sampled_from([DIAMOND, FamilySpec.diamond_kt(4)]))
+def test_class_shared_full_scans_fire_like_per_item_scans(g, fam):
+    # each rule to its own fixpoint by full scans, each firing checked
+    inst = Instance(g.copy(), 0, fam)
+    while (expected := irrelevant_edge_per_edge(inst)) is not None:
+        assert rule_irrelevant_edge(inst) == expected
+    assert rule_irrelevant_edge(inst) is None
+    inst = Instance(g.copy(), 0, fam)
+    while (expected := split_vertex_per_vertex(inst)) is not None:
+        assert rule_vertex_split(inst)[0] == expected
+    assert rule_vertex_split(inst) is None
+
+
+def test_phase1_work_on_apex_gadgets_is_per_twin_class(monkeypatch):
+    # the debug checks alone would cost a clique's size squared per edge
+    checks.set_debug_assertions(False)
+    core, splits = [], []
+    real_core, real_split = phase1.is_core_member_edge, Graph.neighborhood_components
+    monkeypatch.setattr(phase1, "is_core_member_edge",
+                        lambda g, e, fam: core.append(e) or real_core(g, e, fam))
+    monkeypatch.setattr(Graph, "neighborhood_components",
+                        lambda g, v: splits.append(v) or real_split(g, v))
+    for c, q in ((5, 24), (10, 48), (20, 96)):
+        g, _ = apex_gadgets(c, q)
+        core.clear()
+        splits.clear()
+        _, log = run_phase1(Instance(g, c, DIAMOND))
+        # per copy: five classes (the clique, a, b, p, q), eight adjacent pairs
+        assert len(log) == 0
+        assert len(core) <= 10 * c and len(splits) <= 6 * c
