@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from diamondkernel import checks, phase1
 from diamondkernel.family import FamilySpec
 from diamondkernel.graph import Graph
-from diamondkernel.instances import clique_layout, gen_hard_structure, gen_planted_yes
+from diamondkernel.instances import clique_layout, gen_gnp, gen_hard_structure, gen_planted_yes
 from diamondkernel.phase1 import (Instance, RuleEvent, RuleLog, replay, rules,
                                   phase1_fixpoint_properties, rule_irrelevant_component,
                                   rule_irrelevant_edge, rule_sunflower, rule_vertex_split,
@@ -286,7 +286,21 @@ def test_worklist_driver_matches_restart_from_top(inst):
     assert_same_as_restart_from_top(inst)
 
 
-def test_worklist_driver_matches_after_k_drops():
+def rule_calls_and_firings(monkeypatch, inst):
+    """(calls, fired) of each rule in one run_phase1."""
+    calls = {name: 0 for name, _ in rules()}
+    for name, rule in rules():
+        def counted(*args, name=name, rule=rule):
+            calls[name] += 1
+            return rule(*args)
+        monkeypatch.setattr(phase1, rule.__name__, counted)
+    _, log = run_phase1(inst)
+    monkeypatch.undo()
+    fired = log.counts()
+    return {name: (n, fired.get(name, 0)) for name, n in calls.items()}
+
+
+def test_worklist_driver_matches_after_k_drops(monkeypatch):
     # two disjoint gadgets: at k = 1 the sunflower fires on each, and the
     # irrelevant edges and components it leaves fire between and after
     gadget = list(sunflower_gadget().edges())
@@ -296,6 +310,21 @@ def test_worklist_driver_matches_after_k_drops():
     _, log = run_phase1(Instance(g, 1, DIAMOND))
     assert [ev.k_after for ev in log.events if ev.rule == "sunflower"] == [0, -1]
     assert log.events[-1].rule == "irrelevant_component"
+    # sizes past Hypothesis's reach where all four rules fire: the sunflower
+    # rule fires twice on each G(30, 0.2), taking k to -1
+    for fam in (DIAMOND, FamilySpec.diamond_kt(4)):
+        for seed in (1, 2, 3):
+            assert_same_as_restart_from_top(Instance(gen_gnp(30, 0.2, seed), 1, fam))
+    chain = gen_planted_yes(clique_layout([6] * 40, "chain"), 2, 1)
+    assert chain.graph.n == 201
+    assert_same_as_restart_from_top(chain.copy())
+    # a rule called on an empty scope would add one call to these
+    assert rule_calls_and_firings(monkeypatch, Instance(gen_gnp(30, 0.2, 1), 1, DIAMOND)) == {
+        "irrelevant_edge": (35, 32), "sunflower": (3, 2),
+        "vertex_split": (6, 5), "irrelevant_component": (9, 9)}
+    assert rule_calls_and_firings(monkeypatch, chain) == {
+        "irrelevant_edge": (3, 2), "sunflower": (1, 0),
+        "vertex_split": (40, 39), "irrelevant_component": (40, 40)}
 
 
 def sunflower_by_full_scan(inst):
