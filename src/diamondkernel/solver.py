@@ -35,7 +35,8 @@ DEFAULT_ORACLE_CAP = 10_000_000
 
 
 def _check_guard(universe: int, kmax: int, cap: int | None) -> None:
-    total = sum(comb(universe, size) for size in range(0, max(kmax, 0) + 1))
+    # sizes past the universe add comb(universe, size) = 0
+    total = sum(comb(universe, size) for size in range(min(max(kmax, 0), universe) + 1))
     limit = DEFAULT_ORACLE_CAP if cap is None else cap
     if total > limit:
         raise GuardError(

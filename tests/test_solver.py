@@ -1,4 +1,5 @@
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -211,6 +212,15 @@ def test_guard_refuses_oversized():
     g = complete_graph(9)
     with pytest.raises(GuardError):
         brute_force_min_deletion(g, DIAMOND, 3, cap=10)
+
+
+def test_guard_sums_no_size_past_the_universe(monkeypatch):
+    # a huge budget must not make the guard loop up to it
+    calls = []
+    monkeypatch.setattr(solver, "comb", lambda n, r: calls.append(r) or comb(n, r))
+    assert brute_force_min_deletion(diamond_graph(), DIAMOND, 10**6) == 1
+    assert 0 < len(calls) <= diamond_graph().m + 1
+    assert brute_force_min_deletion(diamond_graph(), DIAMOND, 10**12) == 1
 
 
 # -- editing oracle -----------------------------------------------------------------
