@@ -208,20 +208,17 @@ class Graph:
                 components.append(self.component(start, unseen))
         return components
 
-    def component(self, v: int, within: set[int] | None = None) -> set[int]:
-        """The vertices connected to v, v included, in g or in g[within].
-        The walk takes the vertices it reaches out of within, so the
-        components of one set cost one pass over it and its edges."""
+    def component(self, v: int, within: set[int]) -> set[int]:
+        """The vertices connected to v, v included, in g[within].  The walk
+        takes the vertices it reaches out of within, so the components of
+        one set cost one pass over it and its edges."""
         self._require(v)
         comp = {v}
         stack = [v]
-        if within is not None:
-            within.discard(v)
+        within.discard(v)
         while stack:
-            nbrs = self._adj[stack.pop()]
-            found = nbrs - comp if within is None else nbrs & within
-            if within is not None:
-                within -= found
+            found = self._adj[stack.pop()] & within
+            within -= found
             comp |= found
             stack.extend(found)
         return comp

@@ -4,23 +4,22 @@ irrelevant-component rules, plus the fixpoint driver.
 rules() is the one table of the rules and their priority order.  Each
 rule is individually decision-preserving, so the order only pins down
 reproducibility.  The driver fires what rescanning the table from its top
-after every firing would fire, in the same order, but a firing changes
-verdicts only near what it touched, so each rule rescans just the items
-whose verdict may have changed; run_phase1 states the locality facts.
+after every firing would fire, in the same order, in three stages (the
+edge rules, vertex splits, irrelevant components) in which each rule
+resumes after the item it last fired on; run_phase1 says why.
 
 A full scan of the edge or split rule decides once per pair of twin
 classes or per class (Graph.twin_classes()): swapping two true twins is
 an automorphism, so the edges between two classes share their core
 membership and twins' neighbourhoods have as many components; the first
-item of each fires exactly when all would.  Worklist scans stay per
-item: they follow a firing, which clears the classes.
+item of each fires exactly when all would.  Scans of a driver's deque
+stay per item: they follow a firing, which clears the classes.
 """
-
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
-from heapq import heapify, heappop
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .checks import debug_assertions_enabled, debug_check
 from .family import FamilySpec
@@ -101,39 +100,16 @@ def replay(log: RuleLog, graph: Graph) -> Graph:
 # -- the four rules ----------------------------------------------------------
 #
 # The edge, split and component rules take an optional scope.  None is a
-# sorted full scan (per twin class, see above).  A _Worklist, which only the
-# driver makes, is what the rule has not examined yet: the rule takes its
-# items out in ascending order as it examines them, skipping those no
-# longer in the graph, so after a firing it holds exactly what the rule has
-# not looked at.  Either way the rule fires on the first match in ascending
-# order.  A _Worklist keeps its heap between calls, so a rule that resumes
-# pays only for the items it pops, and a whole phase 1 heapifies each item
-# once per scope that holds it.  The None scan stays: popping every edge
-# off a heap costs more than a sorted scan.  The sunflower rule has no
+# sorted full scan (per twin class, see above).  A deque, which only the
+# driver makes, holds the items not examined yet in ascending order; the
+# rule takes each off the front as it examines it.  Either way the rule
+# fires on the first match in ascending order.  The sunflower rule has no
 # scope: lowering k reopens all of its verdicts, and nothing else raises a
 # sunflower value (see run_phase1).
 
-class _Worklist(set):
-    """A driver scope: the set plus a heap of its items, built once.
-
-    Items only ever leave the set; the heap may still hold them, and
-    _drain skips them.
-    """
-
-    def __init__(self, items) -> None:
-        super().__init__(items)
-        self.heap = list(self)
-        heapify(self.heap)
-
-
-def _drain(scope: _Worklist, present: Callable[[object], bool]) -> Iterator:
-    heap = scope.heap
-    while heap:
-        item = heappop(heap)
-        if item in scope:  # the component rule takes out whole components
-            scope.discard(item)
-            if present(item):
-                yield item
+def _take(scope: deque) -> Iterator:
+    while scope:
+        yield scope.popleft()
 
 
 def _class_edges(g: Graph) -> list[tuple[int, int]]:
@@ -146,11 +122,10 @@ def _class_edges(g: Graph) -> list[tuple[int, int]]:
 
 
 def rule_irrelevant_edge(inst: Instance,
-                         scope: _Worklist | None = None) -> tuple[int, int] | None:
+                         scope: deque[tuple[int, int]] | None = None) -> tuple[int, int] | None:
     """Delete the smallest edge that lies in no family pattern as a subgraph."""
     g = inst.graph
-    edges = _class_edges(g) if scope is None else _drain(scope, lambda e: g.has_edge(*e))
-    for e in edges:
+    for e in _class_edges(g) if scope is None else _take(scope):
         if not is_core_member_edge(g, e, inst.family):
             g.remove_edge(*e)
             return e
@@ -180,7 +155,7 @@ def rule_sunflower(inst: Instance) -> tuple[int, int] | None:
     return None
 
 
-def rule_vertex_split(inst: Instance, scope: _Worklist | None = None
+def rule_vertex_split(inst: Instance, scope: deque[int] | None = None
                       ) -> tuple[int, tuple[tuple[int, frozenset[int]], ...]] | None:
     """Split the smallest vertex whose neighborhood is disconnected.
 
@@ -192,7 +167,7 @@ def rule_vertex_split(inst: Instance, scope: _Worklist | None = None
     """
     g = inst.graph
     candidates = ([v for v, rep in g.twin_classes().items() if v == rep] if scope is None
-                  else _drain(scope, g.has_vertex))
+                  else _take(scope))
     for v in candidates:
         components = g.neighborhood_components(v)
         if len(components) < 2:
@@ -209,22 +184,13 @@ def rule_vertex_split(inst: Instance, scope: _Worklist | None = None
 
 
 def rule_irrelevant_component(inst: Instance,
-                              scope: _Worklist | None = None) -> frozenset[int] | None:
+                              scope: deque[set[int]] | None = None) -> frozenset[int] | None:
     """Delete the first component that is family-free, by smallest member.
 
-    With a scope, only the components that meet it are examined, in the
-    order of their smallest vertex in it, and each leaves the scope whole.
-    That is the order by smallest member when the scope is a union of
-    components, as the driver's always is.
+    A scope holds whole components, ordered by smallest member.
     """
     g = inst.graph
-    if scope is None:
-        components = g.connected_components()
-    else:
-        components = (g.component(v) for v in _drain(scope, g.has_vertex))
-    for component in components:
-        if scope is not None:
-            scope -= component
+    for component in g.connected_components() if scope is None else _take(scope):
         if component_is_family_free(g, component, inst.family):
             g.remove_vertices(component)
             return frozenset(component)
@@ -255,25 +221,25 @@ def _edges_near(g: Graph, u: int, v: int) -> set[tuple[int, int]]:
     return near
 
 
-def _record_firing(scopes: dict[str, set | None], name: str, data, g: Graph) -> None:
-    """Update the scopes after a firing (see run_phase1).
-
-    A set scope of the rule that fired already holds what it did not
-    examine; a None scope becomes the items after the one it fired on.
-    """
-    if name == "sunflower":
-        # its own scope stays None: it fires only from a full scan, and
-        # lowering k reopens every verdict
-        scopes["irrelevant_edge"] = _Worklist(_edges_near(g, *data))
-    elif scopes[name] is None:
-        if name == "irrelevant_edge":
-            scopes[name] = _Worklist(e for e in g.edges() if e > data)
-        elif name == "vertex_split":
-            scopes[name] = _Worklist(v for v in g.vertex_set() if v > data[0])
-        else:
-            first = min(data)
-            scopes[name] = _Worklist(v for c in g.connected_components()
-                                     if min(c) > first for v in c)
+def _exhaust(inst: Instance, log: RuleLog, name: str, scope: deque | None,
+             rest: Callable[[object], Iterable]) -> object:
+    """Call the rule name until it returns None or its scope is empty;
+    returns the data of its last call.  After a firing from a full scan
+    (scope None) the scope becomes deque(rest(data)), the items after the
+    one it fired on, ascending."""
+    rule = dict(rules())[name]
+    data = None
+    while scope is None or scope:
+        if debug_assertions_enabled():
+            inst.graph.validate()
+        k_before = inst.k
+        data = rule(inst) if scope is None else rule(inst, scope)
+        if data is None:
+            break
+        log.append(name, data, k_before, inst.k)
+        if scope is None:
+            scope = deque(rest(data))
+    return data
 
 
 def run_phase1(inst: Instance) -> tuple[Instance, RuleLog]:
@@ -284,12 +250,13 @@ def run_phase1(inst: Instance) -> tuple[Instance, RuleLog]:
     each firing would make: the smallest non-core edge, else the first
     sunflower edge, else the smallest vertex with a disconnected
     neighbourhood, else the first family-free component.  The driver gets
-    there without the rescans.  Each rule keeps a scope, None (everything)
-    at the start: the items it has not examined since its verdict on them
-    could last have changed.  Every item outside the scope is known not to
-    fire, so the rule, which scans its scope in ascending order, fires on
-    the same item as a full scan would.  These locality facts say which
-    firings put items back into which scopes:
+    there without the rescans, in three stages: (1) the irrelevant-edge
+    rule until quiet, then one sunflower call, and after a sunflower
+    firing the edge rule on the edges near the deleted one, and so on
+    until the sunflower rule is quiet; (2) vertex splits until quiet;
+    (3) irrelevant components until quiet.  These locality facts show
+    that no stage reopens an earlier one and that a rule need not look
+    back at the items it has passed:
 
     - An irrelevant edge lies in no pattern, so deleting it changes no other
       edge's core membership.  It raises no sunflower value either: an edge
@@ -306,33 +273,28 @@ def run_phase1(inst: Instance) -> tuple[Instance, RuleLog]:
       the edges they replace.  Removing a component changes nothing
       outside it.
 
-    So once the two edge rules are quiet they stay quiet, and the split
-    and component rules, which run only then, see no edge deletion after
-    their first call: each resumes after the item it last fired on.
+    Within a stage only its rules change the graph.  A rule removes only
+    the item it fired on, already taken off its deque, and a sunflower
+    firing replaces the edge deque, so no deque holds a removed item.  If
+    one did, the rule would raise (is_core_member_edge ValueError,
+    neighbors UnknownVertexError), not skip it.
     """
     inst.family.require_kernelizable()
     log = RuleLog()
-    edges_in = inst.graph.m
-    table = rules()
-    scopes: dict[str, set | None] = {name: None for name, _ in table}
+    g = inst.graph
+    edges_in = g.m
+    edges = None
     while True:
-        if debug_assertions_enabled():
-            inst.graph.validate()
-        k_before = inst.k
-        for name, rule in table:
-            scope = scopes[name]
-            if scope is not None and not scope:
-                continue
-            data = rule(inst) if scope is None else rule(inst, scope)
-            if data is None:
-                scopes[name] = set()
-                continue
-            log.append(name, data, k_before, inst.k)
-            _record_firing(scopes, name, data, inst.graph)
+        _exhaust(inst, log, "irrelevant_edge", edges, lambda e: (f for f in g.edges() if f > e))
+        # at most one sunflower firing per turn: its rest is empty
+        fired = _exhaust(inst, log, "sunflower", None, lambda e: ())
+        if fired is None:
             break
-        else:
-            break
-    debug_check(inst.graph.m <= edges_in, "phase 1 increased the edge count")
+        edges = deque(sorted(_edges_near(g, *fired)))
+    _exhaust(inst, log, "vertex_split", None, lambda data: (v for v in g.vertices if v > data[0]))
+    _exhaust(inst, log, "irrelevant_component", None,
+             lambda data: (c for c in g.connected_components() if min(c) > min(data)))
+    debug_check(g.m <= edges_in, "phase 1 increased the edge count")
     return inst, log
 
 

@@ -388,10 +388,10 @@ def test_phase1_work_grows_linearly_on_clique_chains(monkeypatch):
     assert counts[801] <= 2.5 * counts[401]
 
 
-def test_phase1_heapifies_each_scope_once_on_clique_chains(monkeypatch):
+def test_phase1_queues_each_scope_once_on_clique_chains(monkeypatch):
     items = []
-    real = phase1.heapify
-    monkeypatch.setattr(phase1, "heapify", lambda heap: items.append(len(heap)) or real(heap))
+    real = phase1.deque
+    monkeypatch.setattr(phase1, "deque", lambda it: (lambda d: items.append(len(d)) or d)(real(it)))
     counts = {}
     for n in (201, 401, 801):
         inst = gen_planted_yes(clique_layout([6] * ((n - 1) // 5), "chain"), n // 100, 1)
