@@ -15,6 +15,7 @@ membership and twins' neighbourhoods have as many components; the first
 item of each fires exactly when all would.  Scans of a driver's deque
 stay per item: they follow a firing, which clears the classes.
 """
+
 from __future__ import annotations
 
 from collections import deque
@@ -185,10 +186,8 @@ def rule_vertex_split(inst: Instance, scope: deque[int] | None = None
 
 def rule_irrelevant_component(inst: Instance,
                               scope: deque[set[int]] | None = None) -> frozenset[int] | None:
-    """Delete the first component that is family-free, by smallest member.
-
-    A scope holds whole components, ordered by smallest member.
-    """
+    """Delete the first component that is family-free, by smallest member;
+    a scope holds whole components, in that order."""
     g = inst.graph
     for component in g.connected_components() if scope is None else _take(scope):
         if component_is_family_free(g, component, inst.family):
