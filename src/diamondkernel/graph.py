@@ -106,9 +106,6 @@ class Graph:
         if v not in self._adj:
             raise UnknownVertexError(v)
 
-    def has_vertex(self, v: int) -> bool:
-        return v in self._adj
-
     @property
     def vertices(self) -> list[int]:
         return sorted(self._adj)

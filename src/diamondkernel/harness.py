@@ -120,18 +120,14 @@ def vars_of(c: CheckCounts) -> dict:
 
 def bench_corpus(seed: int) -> list[tuple[str, Instance]]:
     """Deterministic benchmark instances: hard structures, planted
-    yes-instances (clique sizes, extra edges), and sparse random graphs."""
+    yes-instances (clique count and size, extra edges), and sparse random graphs."""
     rng = random.Random(seed)
     corpus: list[tuple[str, Instance]] = []
     for k in (2, 3, 4, 5, 6):
         corpus.append((f"hard(k={k})", gen_hard_structure(k)))
-    for sizes, extra in (((4, 4, 4, 4), 2), ((5,) * 8, 3), ((5,) * 40, 5)):
-        layout = clique_layout(list(sizes), "disjoint")
-        if len(set(sizes)) == 1:
-            tag = f"{len(sizes)}x{sizes[0]}"
-        else:
-            tag = ",".join(map(str, sizes))
-        corpus.append((f"planted(sizes={tag},k={extra})",
+    for count, size, extra in ((4, 4, 2), (8, 5, 3), (40, 5, 5)):
+        layout = clique_layout([size] * count, "disjoint")
+        corpus.append((f"planted(sizes={count}x{size},k={extra})",
                        gen_planted_yes(layout, extra, rng.getrandbits(32))))
     for n, p in ((12, 0.3), (16, 0.25)):
         g = gen_gnp(n, p, rng.getrandbits(32))

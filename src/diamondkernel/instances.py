@@ -23,7 +23,7 @@ from .family import FamilySpec
 from .graph import Graph, edge_key
 from .patterns import is_family_free
 from .phase1 import Instance
-from .solver import EditSolution, Solution, check_solution
+from .solver import Solution, check_solution
 
 
 # -- random and planted instances ---------------------------------------------
@@ -209,7 +209,7 @@ def reduce_vc_to_sdfed(g: Graph, k: int, s: int = 1) -> tuple[Instance, Reductio
 
 # -- lifting solutions back -------------------------------------------------------
 
-def lift_solution(trace: ReductionTrace, sol: Solution | EditSolution) -> set[int]:
+def lift_solution(trace: ReductionTrace, sol: Solution) -> set[int]:
     """Pull a solution of the reduced instance back to a vertex cover of the
     original vertex-cover instance, of size at most its original budget.
 

@@ -52,13 +52,14 @@ the minimum over its entries is the scan's answer.  Whether xy centres an
 s-diamond, and which comes first, depends only on G[{x, y} | N(x) & N(y)].
 Toggling uv changes that only for uv, for the edges from u or v into
 C = N(u) & N(v) (their common neighbourhood gains or loses v or u), and
-for the edges inside C (u and v turn adjacent or not in theirs).
-Re-adding the edge removed last puts back the entries its removal
-replaced.  A growing mask A narrows each pool to the z with xz, yz outside
-A: an entry whose edges miss the new edges is still in the narrower pool,
-hence still first, so only entries that meet them are recomputed, and
-masked answers equal the scan's under A.  K_t items have no index:
-first() falls back to iter_clique_occurrences when no s-diamond is left.
+for the edges inside C (u and v turn adjacent or not in theirs).  The
+entries depend only on g and the mask, so an index is current while g is
+as it last saw it, however g left that state and came back.  A growing
+mask A narrows each pool to the z with xz, yz outside A: an entry whose
+edges miss the new edges is still in the narrower pool, hence still
+first, so only entries that meet them are recomputed, and masked answers
+equal the scan's under A.  K_t items have no index: first() falls back to
+iter_clique_occurrences when no s-diamond is left.
 """
 
 from __future__ import annotations
@@ -289,8 +290,9 @@ class OccurrenceIndex:
     mask grows through mask.  first() is find_induced_occurrence(g, fam,
     avoid) at every moment; the module docstring says why.
 
-    A copy shares g and owns its entries and mask; only one of the two may
-    change g afterwards.
+    A copy shares g and owns its entries and mask.  Once a copy changes g,
+    the original is stale until g is back as it last saw it, which is how
+    solve_branching uses copies.
     """
 
     def __init__(self, g: Graph, fam: FamilySpec) -> None:
@@ -298,61 +300,46 @@ class OccurrenceIndex:
         self.fam = fam
         self.avoid: set[tuple[int, int]] = set()
         self._at: dict[tuple[int, int], PatternOccurrence] = {}
-        self._undo: list[tuple[tuple[int, int], dict]] = []
         if fam.sdiamond is not None:
-            self._refresh(centre_edges(g), {})
+            self._refresh(centre_edges(g))
 
-    def _refresh(self, pairs, saved: dict) -> None:
+    def _refresh(self, pairs) -> None:
         at, g, s, avoid = self._at, self.g, self.fam.sdiamond, self.avoid
         for p in pairs:
-            saved.setdefault(p, at.get(p))
             occ = _first_centred(g, *p, s, avoid) if g.has_edge(*p) else None
             if occ is None:
                 at.pop(p, None)
             else:
                 at[p] = occ
 
-    def _toggled(self, u: int, v: int) -> dict:
-        """Refresh the entries pair uv can change; returns their old values."""
-        saved: dict = {}
+    def _toggled(self, u: int, v: int) -> None:
+        """Refresh the entries pair uv can change."""
         if self.fam.sdiamond is not None:
             common = sorted(self.g.neighbors(u) & self.g.neighbors(v))
             self._refresh([edge_key(u, v)]
                           + [edge_key(w, c) for w in (u, v) for c in common]
-                          + list(combinations(common, 2)), saved)
-        return saved
+                          + list(combinations(common, 2)))
 
     def remove_edge(self, u: int, v: int) -> None:
         if not self.g.has_edge(u, v):
             raise ValueError(f"no edge {u}-{v} to remove")
         self.g.remove_edge(u, v)
-        self._undo.append((edge_key(u, v), self._toggled(u, v)))
+        self._toggled(u, v)
 
     def add_edge(self, u: int, v: int) -> None:
         self.g.add_edge(u, v)
-        if not self._undo or self._undo[-1][0] != edge_key(u, v):
-            self._undo.clear()
-            self._toggled(u, v)
-            return
-        # the last change was removing uv: put back the entries it replaced
-        for p, occ in self._undo.pop()[1].items():
-            if occ is None:
-                self._at.pop(p, None)
-            else:
-                self._at[p] = occ
+        self._toggled(u, v)
 
     def mask(self, edges: set[tuple[int, int]]) -> None:
         """Add edges to the avoid mask; only entries that meet them change."""
         self.avoid |= edges
-        self._undo.clear()
         self._refresh([key for key, occ in self._at.items()
-                       if not occ.edges.isdisjoint(edges)], {})
+                       if not occ.edges.isdisjoint(edges)])
 
     def copy(self) -> "OccurrenceIndex":
         twin = copy(self)
         twin.avoid = set(self.avoid)
         twin._at = dict(self._at)
-        twin._undo = []
         return twin
 
     def first(self) -> PatternOccurrence | None:

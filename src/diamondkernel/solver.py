@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
-from typing import ClassVar
 
 from .checks import debug_check
 from .errors import GuardError
@@ -48,12 +47,13 @@ def _check_guard(universe: int, kmax: int, cap: int | None) -> None:
 
 @dataclass(frozen=True)
 class Solution:
-    """A deletion set, or None when infeasible; nodes counts the search
-    nodes that produced it and takes no part in equality."""
+    """A deletion set, or None when infeasible, and the pairs an editing
+    solution adds; nodes counts the search nodes that produced it and
+    takes no part in equality."""
 
     delete_set: frozenset[tuple[int, int]] | None
+    add_set: frozenset[tuple[int, int]] = frozenset()
     nodes: int = field(default=0, compare=False)
-    add_set: ClassVar[frozenset[tuple[int, int]]] = frozenset()   # as in an EditSolution
 
     @property
     def feasible(self) -> bool:
@@ -61,33 +61,19 @@ class Solution:
 
     @classmethod
     def infeasible(cls, nodes: int = 0) -> "Solution":
-        return cls(None, nodes)
+        return cls(None, nodes=nodes)
 
     @classmethod
     def of(cls, edges, nodes: int = 0) -> "Solution":
-        return cls(frozenset(edges), nodes)
+        return cls(frozenset(edges), nodes=nodes)
 
 
-@dataclass(frozen=True)
-class EditSolution:
-    delete_set: frozenset[tuple[int, int]] | None
-    add_set: frozenset[tuple[int, int]] | None
-
-    @property
-    def feasible(self) -> bool:
-        return self.delete_set is not None
-
-    @classmethod
-    def infeasible(cls) -> "EditSolution":
-        return cls(None, None)
-
-
-def check_solution(g: Graph, fam: FamilySpec, k: int, sol: Solution | EditSolution) -> dict:
+def check_solution(g: Graph, fam: FamilySpec, k: int, sol: Solution) -> dict:
     """The one definition of a valid solution: the feasible sol deletes only
-    edges of g, toggles at most k pairs (with the additions of an
-    EditSolution) and leaves g free of fam.  The result holds
-    verified_family_free, plus non_edges and over_budget when they apply,
-    so sol is valid exactly when it is {"verified_family_free": True}."""
+    edges of g, toggles at most k pairs (its additions included) and
+    leaves g free of fam.  The result holds verified_family_free, plus
+    non_edges and over_budget when they apply, so sol is valid exactly
+    when it is {"verified_family_free": True}."""
     h = g.copy()
     non_edges = [[u, v] for u, v in sorted(sol.delete_set) if not h.has_edge(u, v)]
     for u, v in sol.delete_set:
@@ -130,22 +116,24 @@ def solve_branching(inst: Instance) -> Solution:
       many nodes.  A failed node holds no solution, so the first solution
       is again untouched.
 
-    One OccurrenceIndex follows every deletion and restoration, so no node
-    rescans the graph.  Each node asks it for the first occurrence exactly
-    once, through this module's find_induced_occurrence, and the packing
-    masks a copy of it.  The returned Solution carries the node count.
+    No node rescans the graph.  Each node asks its own OccurrenceIndex for
+    the first occurrence exactly once, through this module's
+    find_induced_occurrence, and the packing masks a copy of it.  A branch
+    deletes its edge in another copy and recurses with that; once the
+    branch fails, every deletion below it is undone, so re-adding the edge
+    to the graph makes the node's index current again.  The returned
+    Solution carries the node count.
     """
     if inst.k < 0:
         return Solution.infeasible()
     g = inst.graph.copy()
     fam = inst.family
-    index = OccurrenceIndex(g, fam)
     branch_cap = max_edges_per_occurrence(fam)
     deleted: list[tuple[int, int]] = []
     fixed: set[tuple[int, int]] = set()
     nodes = 0
 
-    def dfs(budget: int) -> bool:
+    def dfs(index: OccurrenceIndex, budget: int) -> bool:
         nonlocal nodes
         nodes += 1
         occ = find_induced_occurrence(g, fam, index=index)
@@ -158,17 +146,18 @@ def solve_branching(inst: Instance) -> Solution:
         edges = sorted(occ.edges - fixed)
         debug_check(len(edges) <= branch_cap, "branching factor above the family bound")
         for e in edges:
-            index.remove_edge(*e)
+            child = index.copy()
+            child.remove_edge(*e)
             deleted.append(e)
-            if dfs(budget - 1):
+            if dfs(child, budget - 1):
                 return True
-            index.add_edge(*e)
+            g.add_edge(*e)
             deleted.pop()
             fixed.add(e)
         fixed.difference_update(edges)
         return False
 
-    if dfs(inst.k):
+    if dfs(OccurrenceIndex(g, fam), inst.k):
         return Solution.of(deleted, nodes)
     return Solution.infeasible(nodes)
 
@@ -300,15 +289,15 @@ def brute_force_min_editing(g: Graph, fam: FamilySpec, kmax: int,
 
 
 def brute_force_editing_solution(g: Graph, fam: FamilySpec, kmax: int,
-                                 cap: int | None = None) -> EditSolution:
+                                 cap: int | None = None) -> Solution:
     """Like brute_force_min_editing but returns the toggled pairs split into
     deletions and additions."""
     size, pairs = _min_toggles(g, fam, kmax, cap, list(_pair_bits(g)))
     if size is None:
-        return EditSolution.infeasible()
+        return Solution.infeasible()
     deletes = frozenset(p for p in pairs if g.has_edge(*p))
     adds = frozenset(p for p in pairs if not g.has_edge(*p))
-    return EditSolution(deletes, adds)
+    return Solution(deletes, adds)
 
 
 # -- vertex-deletion oracle -----------------------------------------------------

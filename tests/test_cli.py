@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -103,6 +104,22 @@ def test_kernelize_writes_kernel_file(tmp_path, capsys):
     capsys.readouterr()
     kern = parse_instance(open(out).read())
     assert kern.graph == diamond_graph()
+
+
+def test_kernelize_from_stdin_to_a_report_file(tmp_path, capsys, monkeypatch):
+    # -i - reads the instance from stdin, and --report writes the report
+    # that stdout would show: both give the digest of a file input
+    path = str(tmp_path / "hard.txt")
+    assert main(["generate", "hard", "--k", "2", "-o", path]) == 0
+    assert main(["kernelize", "-i", path]) == 0
+    from_file = json.loads(capsys.readouterr().out)
+    report = str(tmp_path / "report.json")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(open(path).read()))
+    assert main(["kernelize", "-i", "-", "--report", report]) == 0
+    assert capsys.readouterr().out == ""
+    from_stdin = json.loads(open(report).read())
+    assert from_stdin["digest"] == from_file["digest"] == \
+        "720af35ef09f2229de6b9e207682bc2fedde5cc2f4ad7e3281e057512204ea58"
 
 
 @pytest.mark.parametrize("seed,digest", [
@@ -339,6 +356,14 @@ def test_generate_hard_structure_file(tmp_path, capsys):
     inst = parse_instance(open(out).read())
     assert inst.graph.n == 13 and inst.k == 3
     capsys.readouterr()
+
+
+def test_generate_without_out_prints_the_file(tmp_path, capsys):
+    out = str(tmp_path / "hard.txt")
+    assert main(["generate", "hard", "--k", "2", "-o", out]) == 0
+    assert capsys.readouterr().out == ""
+    assert main(["generate", "hard", "--k", "2"]) == 0
+    assert capsys.readouterr().out.encode() == open(out, "rb").read()
 
 
 def test_generate_reduce_vc_with_trace(tmp_path, capsys):

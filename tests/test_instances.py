@@ -5,7 +5,7 @@ import pytest
 
 from diamondkernel.errors import DescriptorError, DiamondKernelError
 from diamondkernel.family import FamilySpec
-from diamondkernel.graph import Graph
+from diamondkernel.graph import Graph, edge_key
 from diamondkernel.instances import (add_universal, attach_stars, clique_layout, gen_gnp,
                                      gen_hard_structure, gen_planted_yes, lift_solution,
                                      reduce_vc_to_sdfed, subdivide_twice)
@@ -14,7 +14,7 @@ from diamondkernel.patterns import (is_family_free, iter_clique_occurrences,
 from diamondkernel.phase1 import Instance, run_phase1
 from diamondkernel.solver import (Solution, brute_force_editing_solution,
                                   brute_force_min_deletion, brute_force_vertex_deletion,
-                                  solve_branching)
+                                  check_solution, solve_branching)
 
 from conftest import cycle_graph, editing_feasible
 
@@ -235,6 +235,18 @@ def test_lift_editing_solution():
     edit = brute_force_editing_solution(inst.graph, inst.family, inst.k)
     cover = lift_solution(trace, edit)
     assert len(cover) == 1
+
+
+def test_lift_covers_an_original_edge_left_uncovered():
+    # deleting the w-edges of both interior vertices of the path 0-x1-x2-1
+    # solves the reduced instance but covers no original vertex, so the
+    # lift covers the edge 0-1 at its smaller end
+    base = Graph.from_edges(2, [(0, 1)])
+    inst, trace = reduce_vc_to_sdfed(base, 1, 1)
+    x1, x2 = trace.interior[(0, 1)]
+    sol = Solution.of([edge_key(trace.w, x1), edge_key(trace.w, x2)])
+    assert check_solution(inst.graph, inst.family, inst.k, sol) == {"verified_family_free": True}
+    assert lift_solution(trace, sol) == {0}
 
 
 def test_lift_rejects_non_solutions():

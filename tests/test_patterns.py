@@ -484,7 +484,7 @@ def test_occurrence_index_follows_toggles_and_masks(g, fam, k, data):
             avoid |= new
             masked.mask(new)
         elif pairs:
-            # "restore" re-adds the last removed pair, as the solver does
+            # "restore" re-adds the last removed pair through the index
             pair = removed.pop() if step == "restore" and removed else \
                 data.draw(st.sampled_from(pairs))
             if plain_g.has_edge(*pair):

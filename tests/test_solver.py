@@ -11,7 +11,7 @@ from diamondkernel.graph import Graph
 from diamondkernel.phase1 import Instance
 from diamondkernel.instances import gen_gnp, reduce_vc_to_sdfed
 from diamondkernel.patterns import PackingResult, find_induced_occurrence, is_family_free
-from diamondkernel.solver import (EditSolution, Solution, brute_force_editing_solution,
+from diamondkernel.solver import (Solution, brute_force_editing_solution,
                                   brute_force_min_deletion, brute_force_min_editing,
                                   brute_force_vertex_deletion, check_solution,
                                   solve_branching)
@@ -181,13 +181,13 @@ def test_check_solution_cases():
 
 def test_check_solution_counts_additions():
     # adding the missing pair 0-3 turns the diamond into a K4
-    k4 = EditSolution(frozenset(), frozenset({(0, 3)}))
+    k4 = Solution(frozenset(), frozenset({(0, 3)}))
     assert check_solution(diamond_graph(), DIAMOND, 1, k4) == {"verified_family_free": True}
     assert check_solution(diamond_graph(), DIAMOND, 0, k4) == \
         {"verified_family_free": True, "over_budget": 1}
     # on a triangle with a pendant, adding 2-3 creates the diamond
     paw = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (1, 3)])
-    made = EditSolution(frozenset(), frozenset({(2, 3)}))
+    made = Solution(frozenset(), frozenset({(2, 3)}))
     assert check_solution(paw, DIAMOND, 1, made) == {"verified_family_free": False}
 
 
