@@ -180,17 +180,12 @@ class Graph:
 
     def complement_restricted(self, vs: Iterable[int]) -> "Graph":
         """Graph on vs whose edges are exactly the non-edges of g[vs]."""
-        keep = sorted(set(vs))
-        for v in keep:
+        keep = set(vs)
+        for v in sorted(keep):
             self._require(v)
         g = Graph()
-        for v in keep:
-            g.add_vertex_with_id(v)
+        g._adj = {v: keep - self._adj[v] - {v} for v in keep}
         g._next_id = self._next_id
-        for i, u in enumerate(keep):
-            for v in keep[i + 1:]:
-                if v not in self._adj[u]:
-                    g.add_edge(u, v)
         return g
 
     # -- connectivity ------------------------------------------------------

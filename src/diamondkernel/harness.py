@@ -59,7 +59,10 @@ def verify_rule_safety(trials: int, max_n: int, seed: int, family: FamilySpec,
     for trial in range(trials):
         inst = sample_instance(rng, max_n, family)
         g, k = inst.graph, inst.k
-        before = brute_force_min_deletion(g, family, k, cap=oracle_cap) is not None
+        # one oracle call answers every budget up to the largest one checked
+        minimum = brute_force_min_deletion(g, family, K_MAX if check_solver else k,
+                                           cap=oracle_cap)
+        before = minimum is not None and minimum <= k
         context = {"trial": trial, "n": g.n, "edges": sorted(g.edges()), "k": k,
                    "family": family.token()}
         for name, rule in rules():
@@ -93,8 +96,7 @@ def verify_rule_safety(trials: int, max_n: int, seed: int, family: FamilySpec,
         if check_solver:
             for budget in range(0, K_MAX + 1):
                 sol = solve_branching(Instance(g.copy(), budget, family))
-                expected = brute_force_min_deletion(g, family, budget,
-                                                    cap=oracle_cap) is not None
+                expected = minimum is not None and minimum <= budget
                 valid = not sol.feasible or (check_solution(g, family, budget, sol)
                                              == {"verified_family_free": True})
                 solver_checks.record(sol.feasible == expected and valid, {**context, "k": budget})

@@ -489,22 +489,21 @@ def clique_partition(g: Graph) -> list[set[int]]:
     witness = find_induced_occurrence(g, FamilySpec.diamond())
     if witness is not None:
         raise NotDiamondFreeError(witness)
+    # In a diamond-free graph the cliques of a vertex partition its
+    # neighbourhood, and the one through an edge uv is {u, v} with their
+    # common neighbourhood; each is kept at its smallest vertex.
     cliques: list[set[int]] = []
-    covered: set[tuple[int, int]] = set()
-    for u, v in g.edges():
-        if (u, v) in covered:
-            continue
-        # In a diamond-free graph the common neighborhood of an edge is a
-        # clique, and together with the endpoints it is the unique maximal
-        # clique containing the edge.
-        clique = {u, v} | (g.neighbors(u) & g.neighbors(v))
-        for a, b in combinations(sorted(clique), 2):
-            debug_check(g.has_edge(a, b), f"non-edge {a}-{b} inside a computed clique")
-            covered.add((a, b))
-        cliques.append(clique)
     for v in g.vertices:
-        if g.degree(v) == 0:
+        nbrs = g.neighbors(v)
+        if not nbrs:
             cliques.append({v})
+        rest = {w for w in nbrs if w > v}
+        while rest:
+            u = min(rest)
+            clique = {v, u} | (nbrs & g.neighbors(u))
+            rest -= clique
+            if min(clique) == v:
+                cliques.append(clique)
     cliques.sort(key=lambda c: tuple(sorted(c)))
     if debug_assertions_enabled():
         _validate_partition(g, cliques)

@@ -20,6 +20,7 @@ every residual clique has fewer than t vertices, giving
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from math import comb
 
@@ -74,8 +75,7 @@ def compute_modulator(inst: Instance) -> Modulator | None:
     if result.budget_exceeded:
         return None
     modulator_vertices = {v for e in result.packing_edges for v in e}
-    remainder = inst.graph.copy()
-    remainder.remove_vertices(modulator_vertices)
+    remainder = inst.graph.induced_subgraph(inst.graph.vertex_set() - modulator_vertices)
     cliques = clique_partition(remainder)
     mod = Modulator(result.packing_edges, modulator_vertices, cliques)
     if debug_assertions_enabled():
@@ -122,34 +122,23 @@ def classify_clique(g: Graph, modulator_vertices: set[int], clique: set[int]) ->
     vertices of C, or an outside non-modulator vertex adjacent to two).
     """
     size = len(clique)
-    full_modulator: set[int] = set()
-    single_modulator: set[int] = set()
-    single_outside: set[int] = set()
-    for v in sorted(modulator_vertices):
-        cnt = len(g.neighbors(v) & clique)
-        if cnt == 0:
-            continue
-        if cnt == size:
-            full_modulator.add(v)
-        elif cnt == 1:
-            single_modulator.add(v)
-        else:
+    # each outside neighbour of C, with the number of clique vertices it sees
+    seen = Counter(w for v in clique for w in g.neighbors(v) - clique)
+    # modulator vertices first, each ascending, so the smallest offender raises
+    for w in sorted(seen, key=lambda w: (w not in modulator_vertices, w)):
+        if w in modulator_vertices and seen[w] not in (1, size):
             raise InvariantError(
-                f"modulator vertex {v} adjacent to {cnt} of {size} clique vertices")
-    for w in g.vertices:
-        if w in modulator_vertices or w in clique:
-            continue
-        cnt = len(g.neighbors(w) & clique)
-        if cnt == 0:
-            continue
-        if cnt > 1:
-            raise InvariantError(
-                f"outside vertex {w} adjacent to {cnt} clique vertices")
-        single_outside.add(w)
+                f"modulator vertex {w} adjacent to {seen[w]} of {size} clique vertices")
+        if w not in modulator_vertices and seen[w] > 1:
+            raise InvariantError(f"outside vertex {w} adjacent to {seen[w]} clique vertices")
+    adjacent_modulator = seen.keys() & modulator_vertices
+    full_modulator = {w for w in adjacent_modulator if seen[w] == size}
+    single_modulator = adjacent_modulator - full_modulator
+    single_outside = seen.keys() - adjacent_modulator
     ctx = CliqueContext(set(clique), full_modulator, single_outside, single_modulator)
     for v in clique:
-        ctx.outside_of[v] = {w for w in single_outside if g.has_edge(v, w)}
-        ctx.modulator_of[v] = {w for w in single_modulator if g.has_edge(v, w)}
+        ctx.outside_of[v] = g.neighbors(v) & single_outside
+        ctx.modulator_of[v] = g.neighbors(v) & single_modulator
     if debug_assertions_enabled() and size > 1:
         for a in full_modulator:
             for b in full_modulator:
@@ -309,8 +298,7 @@ def kernelize(inst: Instance) -> KernelOutcome:
             if not _quota_respected(before, doomed, inst.k):
                 report.quota_warnings += 1
             if debug_assertions_enabled():
-                remainder = inst.graph.copy()
-                remainder.remove_vertices(mod.vertices & inst.graph.vertex_set())
+                remainder = inst.graph.induced_subgraph(inst.graph.vertex_set() - mod.vertices)
                 recomputed = {frozenset(c) for c in clique_partition(remainder)}
                 debug_check(recomputed == {frozenset(c) for c in mod.cliques},
                             "in-place clique update disagrees with a recompute")

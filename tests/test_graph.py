@@ -137,3 +137,31 @@ def test_complement_restricted_partitions_pairs(g):
     pairs = {edge_key(u, v) for u, v in combinations(g.vertices, 2)}
     assert g.edge_set() | comp.edge_set() == pairs
     assert not g.edge_set() & comp.edge_set()
+
+
+def complement_pair_by_pair(g, vs):
+    """complement_restricted as one add_edge per non-adjacent pair of vs."""
+    keep = sorted(set(vs))
+    for v in keep:
+        g.neighbors(v)   # raises for the smallest unknown id
+    comp = Graph.from_vertices_and_edges(
+        keep, [(u, v) for u, v in combinations(keep, 2) if not g.has_edge(u, v)])
+    comp._next_id = g._next_id
+    return comp
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_graphs(8), st.sets(st.integers(0, 11)), st.booleans())
+def test_complement_restricted_equals_the_pair_by_pair_build(g, vs, grow):
+    if grow:   # ids past the last vertex, so _next_id is not n
+        g.remove_vertex(g.add_vertex())
+    try:
+        expected = complement_pair_by_pair(g, vs)
+    except UnknownVertexError as exc:
+        with pytest.raises(UnknownVertexError) as info:
+            g.complement_restricted(vs)
+        assert info.value.vertex == exc.vertex
+        return
+    comp = g.complement_restricted(vs)
+    assert comp == expected and comp._next_id == expected._next_id
+    comp.validate()

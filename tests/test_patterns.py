@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -14,7 +15,7 @@ from diamondkernel.patterns import (OccurrenceIndex, _clusters_neighbourhood, ce
                                     is_core_member_edge, is_family_free,
                                     iter_clique_occurrences, iter_sdiamond_occurrences)
 from diamondkernel.solver import _min_toggles, has_induced_pattern_naive
-from diamondkernel.instances import gen_hard_structure
+from diamondkernel.instances import clique_layout, gen_hard_structure, gen_planted_yes
 
 from conftest import (apex_gadgets, complete_graph, cycle_graph, diamond_graph,
                       edge_in_diamond_subgraph, path_graph)
@@ -446,7 +447,7 @@ def test_occurrence_index_refuses_ambiguous_requests():
     index = OccurrenceIndex(g, DIAMOND)
     with pytest.raises(ValueError):   # the mask belongs to the index
         find_induced_occurrence(g, DIAMOND, {(1, 2)}, index=index)
-    with pytest.raises(ValueError):   # re-adding it would restore wrong entries
+    with pytest.raises(ValueError):   # a silent no-op would hide a caller's wrong edge
         index.remove_edge(0, 3)
     assert index.first() == find_induced_occurrence(g, DIAMOND)
 
@@ -539,3 +540,39 @@ def test_partition_properties_on_diamond_free(g):
         covered |= {edge_key(u, v) for u, v in combinations(sorted(c), 2)}
     assert covered == g.edge_set()
     assert {v for c in cliques for v in c} == g.vertex_set()
+
+
+def edge_walk_partition(g):
+    """The partition as every edge uv gives it, {u, v} with their common
+    neighbourhood, plus the isolated vertices, deduplicated and sorted."""
+    found = {frozenset({u, v} | (g.neighbors(u) & g.neighbors(v))) for u, v in g.edges()}
+    found |= {frozenset({v}) for v in g.vertices if g.degree(v) == 0}
+    return sorted(map(set, found), key=lambda c: tuple(sorted(c)))
+
+
+def relabelled(g, seed):
+    """g on shuffled vertex ids, so no clique's cut vertex is known to be its minimum."""
+    ids = g.vertices
+    perm = ids[:]
+    random.Random(seed).shuffle(perm)
+    new = dict(zip(ids, perm))
+    return Graph.from_vertices_and_edges(perm, [(new[u], new[v]) for u, v in g.edges()])
+
+
+@pytest.mark.parametrize("sizes,glue", [
+    ([20] * 5, "chain"), ([60, 20, 45, 60], "chain"), ([33, 1, 40, 2], "disjoint"),
+], ids=["chain5x20", "chain-20-to-60", "disjoint-with-isolated"])
+def test_partition_equals_the_edge_walk_on_planted_cliques(sizes, glue):
+    base = gen_planted_yes(clique_layout(sizes, glue), 0, 0).graph
+    for g in (base, relabelled(base, 1), relabelled(base, 2)):
+        cliques = clique_partition(g)
+        assert cliques == edge_walk_partition(g)
+        assert sorted(map(len, cliques)) == sorted(sizes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(blow_ups())
+def test_partition_equals_the_edge_walk_on_twin_rich_graphs(g):
+    if not is_family_free(g, DIAMOND):
+        return
+    assert clique_partition(g) == edge_walk_partition(g)

@@ -6,15 +6,15 @@ from hypothesis import given, settings, strategies as st
 from diamondkernel.errors import FamilyError, InvariantError
 from diamondkernel.family import FamilySpec
 from diamondkernel.graph import Graph
-from diamondkernel.instances import gen_hard_structure
-from diamondkernel.phase1 import Instance
-from diamondkernel.phase2 import (Modulator, classify_clique, compute_modulator,
+from diamondkernel.instances import clique_layout, gen_hard_structure, gen_planted_yes
+from diamondkernel.phase1 import Instance, run_phase1
+from diamondkernel.phase2 import (CliqueContext, Modulator, classify_clique, compute_modulator,
                                   dfed_vertex_bound, dkt_vertex_bound, kernelize,
                                   rule_clique_reduction, validate_modulator)
 from diamondkernel.solver import brute_force_min_deletion
 from diamondkernel.patterns import is_family_free
 
-from conftest import complete_graph, diamond_graph
+from conftest import apex_gadgets, complete_graph, diamond_graph
 
 DIAMOND = FamilySpec.diamond()
 
@@ -111,6 +111,72 @@ def test_classify_rejects_outside_double_adjacency():
     g.add_edge(1, w)
     with pytest.raises(InvariantError):
         classify_clique(g, set(), set(range(4)))
+
+
+def classify_by_scanning(g, modulator_vertices, clique):
+    """classify_clique by its definition: every modulator vertex, then
+    every other vertex outside C, in ascending order, is tested against C."""
+    size = len(clique)
+    full, single_mod, single_out = set(), set(), set()
+    for w in sorted(modulator_vertices):
+        cnt = len(g.neighbors(w) & clique)
+        if cnt == size:
+            full.add(w)
+        elif cnt == 1:
+            single_mod.add(w)
+        elif cnt:
+            raise InvariantError(
+                f"modulator vertex {w} adjacent to {cnt} of {size} clique vertices")
+    for w in g.vertices:
+        if w in modulator_vertices or w in clique:
+            continue
+        cnt = len(g.neighbors(w) & clique)
+        if cnt > 1:
+            raise InvariantError(f"outside vertex {w} adjacent to {cnt} clique vertices")
+        if cnt == 1:
+            single_out.add(w)
+    return CliqueContext(set(clique), full, single_out, single_mod,
+                         {v: {w for w in single_out if g.has_edge(v, w)} for v in clique},
+                         {v: {w for w in single_mod if g.has_edge(v, w)} for v in clique})
+
+
+def modulated_instances():
+    yield from (Instance(apex_gadgets(c, q)[0], c, DIAMOND) for c, q in ((1, 6), (3, 14), (5, 24)))
+    for sizes, extra, seed in (([20] * 4, 4, 3), ([60, 20, 40], 3, 5), ([10] * 12, 4, 2)):
+        yield gen_planted_yes(clique_layout(sizes, "chain"), extra, seed)
+
+
+@pytest.mark.parametrize("inst", list(modulated_instances()),
+                         ids=["apex1x6", "apex3x14", "apex5x24",
+                              "chain4x20", "chain-60-20-40", "chain12x10"])
+def test_classify_equals_a_scan_of_every_vertex(inst):
+    # on the input, where cliques still share cut vertices and see single
+    # outside and modulator neighbours, and at the phase-1 fixpoint
+    for probe in (inst.copy(), run_phase1(inst.copy())[0]):
+        mod = compute_modulator(probe)
+        assert mod is not None and mod.cliques
+        for clique in mod.cliques:
+            ctx = classify_clique(probe.graph, mod.vertices, clique)
+            reference = classify_by_scanning(probe.graph, mod.vertices, clique)
+            for name in ("clique", "full_modulator", "single_outside", "single_modulator",
+                         "outside_of", "modulator_of"):
+                assert getattr(ctx, name) == getattr(reference, name), name
+
+
+def test_classify_names_the_smallest_offender_modulator_first():
+    # K4 on 0..3 and three vertices that each see two of it: a modulator
+    # offender is named before a smaller outside one
+    g = complete_graph(4)
+    for w, ends in ((4, (2, 3)), (5, (0, 1)), (6, (0, 1))):
+        g.add_vertex_with_id(w)
+        for v in ends:
+            g.add_edge(v, w)
+    for modulator, named in (({4, 5}, "modulator vertex 4 "), ({5}, "modulator vertex 5 "),
+                             (set(), "outside vertex 4 ")):
+        with pytest.raises(InvariantError, match=named):
+            classify_clique(g, modulator, set(range(4)))
+        with pytest.raises(InvariantError, match=named):
+            classify_by_scanning(g, modulator, set(range(4)))
 
 
 # -- clique reduction -----------------------------------------------------------------
