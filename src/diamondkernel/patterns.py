@@ -42,10 +42,11 @@ neighbourhood would split every clique).  Graph.twin_classes() and
 centre_edges(g) are kept in g.memo, computed once per graph state: every
 mutation of g clears them.  The index's toggle and mask refreshes are local
 already and stay unfiltered, and so does iter_sdiamond_occurrences, the
-reference the tests compare with.  component_is_family_free tests a
-component C in place, keying its tests by N[v] so that it costs only C:
-every neighbourhood in C lies in C, so C's centre edges and s-diamonds are
-those of g[C], and a K_t search from C stays in C.
+reference the tests compare with.  is_family_free tests g, or a union C
+of its components, in place and keyed by N[v], not by the twin classes a
+mutation clears, so that it costs only C: every neighbourhood in C lies in
+C, so C's centre edges and s-diamonds are those of g[C], and a K_t search
+from C stays in C.  greedy_packing's debug maximality check is one scan.
 
 OccurrenceIndex stores that per-edge first occurrence for every edge, so
 the minimum over its entries is the scan's answer.  Whether xy centres an
@@ -190,27 +191,16 @@ def centre_edges(g: Graph) -> list[tuple[int, int]]:
         _centre_edges_within(g, g.vertex_set(), g.twin_classes().__getitem__))))
 
 
-def component_is_family_free(g: Graph, component: set[int], fam: FamilySpec) -> bool:
-    """is_family_free(g.induced_subgraph(component), fam) without the copy,
-    for a union of components of g (see the module docstring)."""
+def is_family_free(g: Graph, fam: FamilySpec, within: set[int] | None = None) -> bool:
+    """True iff g, or g[within] for a union within of components of g, has
+    no induced occurrence of fam; tested in place (see the module docstring)."""
     if fam.sdiamond is not None:
-        kept = _centre_edges_within(g, component, lambda v: frozenset(g.neighbors(v)) | {v})
+        kept = _centre_edges_within(g, g.vertex_set() if within is None else within,
+                                    lambda v: frozenset(g.neighbors(v)) | {v})
         if any(_first_centred(g, x, y, fam.sdiamond, ()) is not None for x, y in kept):
             return False
     return fam.clique is None or next(
-        iter_clique_occurrences(g, fam.clique, within=component), None) is None
-
-
-def _first_sdiamond_occurrence(g: Graph, s: int,
-                               avoid_edges: frozenset | set | None) -> PatternOccurrence | None:
-    """min(iter_sdiamond_occurrences(g, s, avoid_edges), key=vertices), found directly."""
-    avoid = avoid_edges or ()
-    best: PatternOccurrence | None = None
-    for x, y in centre_edges(g):
-        occ = _first_centred(g, x, y, s, avoid, best.vertices[0] if best is not None else None)
-        if occ is not None and (best is None or occ.vertices < best.vertices):
-            best = occ
-    return best
+        iter_clique_occurrences(g, fam.clique, within=within), None) is None
 
 
 def iter_sdiamond_occurrences(g: Graph, s: int,
@@ -250,14 +240,6 @@ def iter_clique_occurrences(g: Graph, t: int, avoid_edges: frozenset | set | Non
     yield from (_clique_occurrence(c, t) for c in extend((), verts))
 
 
-def _iter_occurrences(g: Graph, fam: FamilySpec,
-                      avoid_edges: frozenset | set | None = None) -> Iterator[PatternOccurrence]:
-    if fam.sdiamond is not None:
-        yield from iter_sdiamond_occurrences(g, fam.sdiamond, avoid_edges)
-    if fam.clique is not None:
-        yield from iter_clique_occurrences(g, fam.clique, avoid_edges)
-
-
 def find_induced_occurrence(g: Graph, fam: FamilySpec,
                             avoid_edges: frozenset | set | None = None,
                             index: "OccurrenceIndex | None" = None) -> PatternOccurrence | None:
@@ -276,7 +258,13 @@ def find_induced_occurrence(g: Graph, fam: FamilySpec,
             raise ValueError("an indexed search takes its mask from the index")
         return index.first()
     if fam.sdiamond is not None:
-        best = _first_sdiamond_occurrence(g, fam.sdiamond, avoid_edges)
+        avoid = avoid_edges or ()
+        best: PatternOccurrence | None = None
+        for x, y in centre_edges(g):
+            occ = _first_centred(g, x, y, fam.sdiamond, avoid,
+                                 best.vertices[0] if best is not None else None)
+            if occ is not None and (best is None or occ.vertices < best.vertices):
+                best = occ
         if best is not None:
             return best
     if fam.clique is not None:
@@ -350,10 +338,6 @@ class OccurrenceIndex:
             debug_check(occ == find_induced_occurrence(self.g, self.fam, self.avoid),
                         "the occurrence index disagrees with the scan")
         return occ
-
-
-def is_family_free(g: Graph, fam: FamilySpec) -> bool:
-    return find_induced_occurrence(g, fam) is None
 
 
 # -- core membership (not-necessarily-induced containment) ------------------
@@ -447,9 +431,8 @@ def greedy_packing(g: Graph, k: int, fam: FamilySpec) -> PackingResult:
         debug_check(len(packing_edges) <= max_edges_per_occurrence(fam) * max(k, 0),
                     "packing edge count exceeds the per-occurrence bound")
         if debug_assertions_enabled():
-            for occ in _iter_occurrences(g, fam):
-                debug_check(bool(occ.edges & packing_edges),
-                            f"occurrence {occ.vertices} is edge-disjoint from a maximal packing")
+            debug_check(find_induced_occurrence(g, fam, packing_edges) is None,
+                        "an occurrence is edge-disjoint from a maximal packing")
     return result
 
 

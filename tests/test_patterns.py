@@ -9,8 +9,7 @@ from diamondkernel.errors import FamilyError, InvariantError, NotDiamondFreeErro
 from diamondkernel.family import FamilySpec
 from diamondkernel.graph import Graph, edge_key
 from diamondkernel.patterns import (OccurrenceIndex, _clusters_neighbourhood, centre_edges,
-                                    clique_partition, component_is_family_free,
-                                    fewest_conflicts_packing,
+                                    clique_partition, fewest_conflicts_packing,
                                     find_induced_occurrence, greedy_packing,
                                     is_core_member_edge, is_family_free,
                                     iter_clique_occurrences, iter_sdiamond_occurrences)
@@ -92,6 +91,7 @@ def test_detector_agrees_with_subset_enumeration(g):
                 FamilySpec(clique=3)):
         assert (find_induced_occurrence(g, fam) is not None) == \
             has_induced_pattern_naive(g, fam)
+        assert is_family_free(g, fam) == (not has_induced_pattern_naive(g, fam))
 
 
 @settings(max_examples=60, deadline=None)
@@ -241,8 +241,8 @@ def test_kept_results_follow_every_mutation(g, steps):
 @given(blow_ups(), st.sampled_from([DIAMOND, FamilySpec.diamond_kt(4), FamilySpec.s_diamond(2)]))
 def test_component_test_in_place_equals_the_induced_copy(g, fam):
     for component in g.connected_components():
-        assert (component_is_family_free(g, component, fam)
-                == is_family_free(g.induced_subgraph(component), fam))
+        assert (is_family_free(g, fam, component)
+                == (find_induced_occurrence(g.induced_subgraph(component), fam) is None))
 
 
 def test_debug_check_finds_a_kept_result_that_a_mutation_left(monkeypatch):
@@ -375,6 +375,24 @@ def test_packing_properties(g, k):
         # maximality over the host graph
         for occ in iter_sdiamond_occurrences(g, 1):
             assert occ.edges & res.packing_edges
+
+
+def test_packing_maximality_check_catches_a_short_packing(monkeypatch):
+    # two vertex-disjoint diamonds, but the packing stops after the first
+    g = Graph.from_edges(8, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3),
+                             (4, 5), (4, 6), (5, 6), (5, 7), (6, 7)])
+
+    def first_only(work, k, fixed, choose):
+        occ = choose(work)
+        return patterns.PackingResult(False, set(occ.edges), [occ])
+
+    monkeypatch.setattr(patterns, "_pack", first_only)
+    with pytest.raises(InvariantError, match="edge-disjoint from a maximal packing"):
+        greedy_packing(g, 2, DIAMOND)
+    checks.set_debug_assertions(False)
+    short = greedy_packing(g, 2, DIAMOND)
+    assert not short.budget_exceeded
+    assert [occ.vertices for occ in short.occurrences] == [(0, 1, 2, 3)]
 
 
 def test_packing_all_fixed_occurrence_exceeds():
