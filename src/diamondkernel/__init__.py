@@ -10,8 +10,7 @@ from .phase2 import (CliqueContext, KernelOutcome, KernelReport, Modulator,
                      classify_clique, compute_modulator, dfed_vertex_bound,
                      dkt_vertex_bound, kernel_vertex_bound, kernelize,
                      rule_clique_reduction)
-from .solver import (Solution, brute_force_editing_solution,
-                     brute_force_min_deletion, brute_force_min_editing,
+from .solver import (Solution, brute_force_min_deletion, brute_force_min_editing,
                      brute_force_vertex_deletion, solve_branching)
 from .instances import (ReductionTrace, add_universal, attach_stars, clique_layout,
                         gen_gnp, gen_hard_structure, gen_planted_yes, lift_solution,
@@ -29,8 +28,7 @@ __all__ = [
     "classify_clique", "compute_modulator", "dfed_vertex_bound",
     "dkt_vertex_bound", "kernel_vertex_bound", "kernelize",
     "rule_clique_reduction",
-    "Solution", "brute_force_editing_solution",
-    "brute_force_min_deletion", "brute_force_min_editing",
+    "Solution", "brute_force_min_deletion", "brute_force_min_editing",
     "brute_force_vertex_deletion", "solve_branching",
     "ReductionTrace", "add_universal", "attach_stars", "clique_layout",
     "gen_gnp", "gen_hard_structure", "gen_planted_yes", "lift_solution",

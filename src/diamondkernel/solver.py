@@ -1,10 +1,12 @@
 """Exact solvers and brute-force oracles.
 
 The branching solver is the practical exact engine: a bounded search tree
-(Cai 1996) pruned by forbidden-edge marking (Gramm, Guo, Hueffner and
-Niedermeier 2005) and by a packing lower bound that respects the marked
-edges and packs the occurrence with the fewest conflicts first.  Neither
-pruning changes the deletion set it returns; see solve_branching.  The
+(Cai 1996) that branches on the most conflicted occurrence (after Boecker,
+Briesemeister, Bui and Truss 2009) and marks the edges of failed branches
+as forbidden (Gramm, Guo, Hueffner and Niedermeier 2005).  A packing lower
+bound that respects the marked edges and packs the occurrence with the
+fewest conflicts first prunes the tree without changing the deletion set
+it returns; see solve_branching.  The
 brute-force functions are the ground truth everything else is measured
 against.  The oracles never call the pattern detector: they share one
 table that holds, for every vertex subset that could host a pattern,
@@ -18,16 +20,17 @@ instance, so it can confirm a "yes" but never show a "no" or a minimum.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
-from .checks import debug_check
+from .checks import debug_assertions_enabled, debug_check
 from .errors import GuardError
 from .family import FamilySpec
 from .graph import Graph, edge_key
-from .patterns import (OccurrenceIndex, fewest_conflicts_packing, find_induced_occurrence,
-                       is_family_free, max_edges_per_occurrence)
+from .patterns import (OccurrenceIndex, _first_centred, fewest_conflicts_packing,
+                       find_induced_occurrence, is_family_free, max_edges_per_occurrence)
 from .phase1 import Instance
 
 DEFAULT_ORACLE_CAP = 10_000_000
@@ -92,29 +95,34 @@ def check_solution(g: Graph, fam: FamilySpec, k: int, sol: Solution) -> dict:
 # -- branching solver ---------------------------------------------------------
 
 def solve_branching(inst: Instance) -> Solution:
-    """Depth-first branching: take the first induced occurrence and branch on
-    deleting each of its unfixed edges, in canonical edge order.
+    """Depth-first branching on the most conflicted occurrence, deleting
+    each of its unfixed edges in turn.
 
     Complete because every solution removes at least one edge of every
-    induced occurrence.  Two prunings cut the tree without changing the
-    deletion set returned, which is the first solution in branch order:
+    induced occurrence.
 
     * Forbidden-edge marking.  Once the branch deleting e has failed, e is
       fixed (never deleted) in the sibling branches after it and in their
       subtrees; the mark is lifted when the node returns.  A solution
       below a later sibling that deleted e would, without e, solve the
-      failed branch within its budget, so the earlier branch would have
-      found it: marking prunes only subtrees whose solutions the search
-      already ruled out, and it never prunes the first solution.
+      failed branch within its budget, so marking keeps the search complete.
+    * Branching rule: "branch on the most conflicted pair" (Boecker,
+      Briesemeister, Bui and Truss, TCS 2009) over the node's index
+      entries.  An edge's load is the number of entries whose unfixed
+      edges hold it.  Take the entry with the fewest unfixed edges, ties
+      going to the highest load among them and then to the smallest
+      vertex tuple, and try its unfixed edges by descending load, then in
+      canonical order.  With no entry, the K_t occurrence of first() is
+      branched on in canonical order.  The rule reads the fixed edges, so
+      marking is part of it.
     * Packing bound, at every node with budget > 0 and for every family.
       A solution must delete an unfixed edge of every induced occurrence,
       so a node fails when an occurrence has only fixed edges, or when
       budget + 1 occurrences have pairwise disjoint unfixed edges.  Any
       such packing will do, so fewest_conflicts_packing takes the order
-      that tends to pack more: on reduced vertex-cover instances the
-      lexicographic order of greedy_packing left 9 to 10,000 times as
-      many nodes.  A failed node holds no solution, so the first solution
-      is again untouched.
+      that tends to pack more.  A failed node holds no solution outside
+      its fixed edges, so the bound changes the node count, never the
+      returned set.
 
     No node rescans the graph.  Each node asks its own OccurrenceIndex for
     the first occurrence exactly once, through this module's
@@ -143,7 +151,20 @@ def solve_branching(inst: Instance) -> Solution:
             return False
         if fewest_conflicts_packing(index, budget, fixed).budget_exceeded:
             return False
-        edges = sorted(occ.edges - fixed)
+        at = index._at
+        if at:
+            # the packing passed, so every entry has an unfixed edge
+            unfixed = {key: entry.edges - fixed for key, entry in at.items()}
+            load = Counter(e for free in unfixed.values() for e in free)
+            key = min(unfixed, key=lambda p: (len(unfixed[p]),
+                                              -max(map(load.__getitem__, unfixed[p])),
+                                              at[p].vertices))
+            if debug_assertions_enabled():
+                debug_check(at[key] == _first_centred(g, *key, fam.sdiamond, ()),
+                            f"the index entry at {key} disagrees with a fresh search")
+            edges = sorted(unfixed[key], key=lambda e: (-load[e], e))
+        else:
+            edges = sorted(occ.edges - fixed)
         debug_check(len(edges) <= branch_cap, "branching factor above the family bound")
         for e in edges:
             child = index.copy()
@@ -286,18 +307,6 @@ def brute_force_min_editing(g: Graph, fam: FamilySpec, kmax: int,
     """Exact minimum number of edge toggles (<= kmax) to reach family freeness."""
     size, _ = _min_toggles(g, fam, kmax, cap, list(_pair_bits(g)))
     return size
-
-
-def brute_force_editing_solution(g: Graph, fam: FamilySpec, kmax: int,
-                                 cap: int | None = None) -> Solution:
-    """Like brute_force_min_editing but returns the toggled pairs split into
-    deletions and additions."""
-    size, pairs = _min_toggles(g, fam, kmax, cap, list(_pair_bits(g)))
-    if size is None:
-        return Solution.infeasible()
-    deletes = frozenset(p for p in pairs if g.has_edge(*p))
-    adds = frozenset(p for p in pairs if not g.has_edge(*p))
-    return Solution(deletes, adds)
 
 
 # -- vertex-deletion oracle -----------------------------------------------------

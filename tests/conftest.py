@@ -2,8 +2,9 @@
 
 The oracles here are deliberately naive and separate from the library
 paths they certify: a recursive matching maximizer, a permutation-based
-subgraph containment check, and an exact editing search that branches on
-the vertex pairs of a surviving occurrence.
+subgraph containment check, an exact editing search that branches on
+the vertex pairs of a surviving occurrence, and the editing solution that
+the bitmask oracle of diamondkernel.solver finds.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from diamondkernel import checks
 from diamondkernel.family import FamilySpec
 from diamondkernel.graph import Graph, edge_key
 from diamondkernel.patterns import find_induced_occurrence
+from diamondkernel.solver import Solution, _min_toggles, _pair_bits
 
 
 @pytest.fixture(autouse=True)
@@ -137,3 +139,15 @@ def editing_feasible(g: Graph, fam: FamilySpec, budget: int) -> bool:
         return False
 
     return dfs(budget, frozenset())
+
+
+def brute_force_editing_solution(g: Graph, fam: FamilySpec, kmax: int,
+                                 cap: int | None = None) -> Solution:
+    """Like solver.brute_force_min_editing but returns the toggled pairs
+    split into deletions and additions."""
+    size, pairs = _min_toggles(g, fam, kmax, cap, list(_pair_bits(g)))
+    if size is None:
+        return Solution.infeasible()
+    deletes = frozenset(p for p in pairs if g.has_edge(*p))
+    adds = frozenset(p for p in pairs if not g.has_edge(*p))
+    return Solution(deletes, adds)

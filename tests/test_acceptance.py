@@ -24,10 +24,9 @@ from diamondkernel.instances import gen_hard_structure, reduce_vc_to_sdfed, lift
 from diamondkernel.matching import maximum_matching
 from diamondkernel.patterns import is_family_free, iter_sdiamond_occurrences
 from diamondkernel.phase2 import kernelize
-from diamondkernel.solver import (brute_force_editing_solution, brute_force_vertex_deletion,
-                                  solve_branching)
+from diamondkernel.solver import brute_force_vertex_deletion, solve_branching
 
-from conftest import brute_force_matching_size, editing_feasible
+from conftest import brute_force_editing_solution, brute_force_matching_size, editing_feasible
 
 SAFETY_SEED = 20_101
 REDUCTION_SEED = 505

@@ -459,12 +459,12 @@ def test_verify_solver_digests_are_pinned(family, digest, capsys):
 
 @pytest.mark.parametrize("gnp,exit_code,digest", [
     (("5", "0.3", "1", "2"), 0,
-     "d472ce446c7188ae41718c9314003ac38b14b863580d9c2665383cd9bd9d9447"),
+     "638f43b2eba8152811e373afaa9271eea0049ef9b6c3724f527c613fa60a0bb3"),
     (("7", "0.4", "2", "2"), 10,
      "12335cac6c8388d97f7c58b925abce849fa044f4c110469b5805299e66ba57a9"),
     (("7", "0.4", "3", "2"), 0,
-     "9528acb4a2e9b0b1e1e78954c50a6947d095276fdf6d17918061bc543d507d95"),
-], ids=["yes-13-nodes", "no-1-node", "yes-37-nodes"])
+     "df0a0fe7d97bb3935a304639e021fbe7de98dda6290721566b58136193843533"),
+], ids=["yes-4-nodes", "no-1-node", "yes-14-nodes"])
 def test_solve_reduced_vc_digests_are_pinned(gnp, exit_code, digest, tmp_path, capsys):
     # the digest covers the node count and the deletion set, so the search
     # tree and the solution it returns are both pinned

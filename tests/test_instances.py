@@ -12,11 +12,10 @@ from diamondkernel.instances import (add_universal, attach_stars, clique_layout,
 from diamondkernel.patterns import (is_family_free, iter_clique_occurrences,
                                     iter_sdiamond_occurrences)
 from diamondkernel.phase1 import Instance, run_phase1
-from diamondkernel.solver import (Solution, brute_force_editing_solution,
-                                  brute_force_min_deletion, brute_force_vertex_deletion,
-                                  check_solution, solve_branching)
+from diamondkernel.solver import (Solution, brute_force_min_deletion,
+                                  brute_force_vertex_deletion, check_solution, solve_branching)
 
-from conftest import cycle_graph, editing_feasible
+from conftest import brute_force_editing_solution, cycle_graph, editing_feasible
 
 DIAMOND = FamilySpec.diamond()
 

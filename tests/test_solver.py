@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations
 from math import comb
 
@@ -10,13 +11,14 @@ from diamondkernel.family import FamilySpec
 from diamondkernel.graph import Graph
 from diamondkernel.phase1 import Instance
 from diamondkernel.instances import gen_gnp, reduce_vc_to_sdfed
-from diamondkernel.patterns import PackingResult, find_induced_occurrence, is_family_free
-from diamondkernel.solver import (Solution, brute_force_editing_solution,
-                                  brute_force_min_deletion, brute_force_min_editing,
+from diamondkernel.patterns import (PackingResult, is_family_free, iter_clique_occurrences,
+                                    iter_sdiamond_occurrences)
+from diamondkernel.solver import (Solution, brute_force_min_deletion, brute_force_min_editing,
                                   brute_force_vertex_deletion, check_solution,
                                   solve_branching)
 
-from conftest import complete_graph, cycle_graph, diamond_graph, editing_feasible, path_graph
+from conftest import (brute_force_editing_solution, complete_graph, cycle_graph,
+                      diamond_graph, editing_feasible, path_graph)
 
 DIAMOND = FamilySpec.diamond()
 
@@ -90,14 +92,14 @@ def _lexicographic_packing(index, k, fixed):
 
 def test_branching_node_count_is_pinned(monkeypatch):
     # the same no-instance as above: the pruned search tree has exactly 6
-    # nodes, and 382 under the lexicographic packing, with the same answer
+    # nodes, and 246 under the lexicographic packing, with the same answer
     g0 = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
     inst, _ = reduce_vc_to_sdfed(g0, 2)
     sol = solve_branching(inst)
     assert not sol.feasible and sol.nodes == 6
     monkeypatch.setattr(solver, "fewest_conflicts_packing", _lexicographic_packing)
     lexicographic = solve_branching(inst)
-    assert lexicographic == sol and lexicographic.nodes == 382
+    assert lexicographic == sol and lexicographic.nodes == 246
 
 
 @pytest.mark.parametrize("k0,feasible", [(4, False), (5, True)])
@@ -118,24 +120,62 @@ def test_branching_work_on_reduced_vertex_cover(k0, feasible, monkeypatch):
     assert sol.feasible == feasible and sol.nodes == len(searches)
 
 
-def _unpruned_deletion_set(g: Graph, fam: FamilySpec, k: int):
-    """Plain depth-first branching on every edge of the first occurrence."""
+@pytest.mark.parametrize("n,p,k0,feasible,most", [
+    (16, 0.3, 8, False, 250), (16, 0.3, 9, True, 125), (18, 0.25, 11, True, 125),
+], ids=["n16-no", "n16-yes", "n18-yes"])
+def test_branching_work_on_larger_reduced_vertex_cover(n, p, k0, feasible, most):
+    # vertex cover 9 and 11: the solver takes 168, 83 and 83 nodes, where
+    # branching in canonical order took 427, 1,466 and 18,456
+    inst, _ = reduce_vc_to_sdfed(gen_gnp(n, p, 1), k0)
+    sol = solve_branching(inst)
+    assert sol.feasible == feasible and sol.nodes <= most
+    if feasible:
+        assert check_solution(inst.graph, inst.family, inst.k, sol) == \
+            {"verified_family_free": True}
+
+
+def _reference_deletion_set(g: Graph, fam: FamilySpec, k: int):
+    """The solver's branching rule and forbidden-edge marking, applied from
+    scratch at every node, with no packing bound and no OccurrenceIndex."""
     g = g.copy()
-    deleted = []
+    deleted, fixed = [], set()
+
+    def entries():
+        # per middle edge, the occurrence with the smallest vertex tuple
+        first = {}
+        for occ in iter_sdiamond_occurrences(g, fam.sdiamond) if fam.sdiamond else ():
+            degree = Counter(v for e in occ.edges for v in e)
+            middle = tuple(v for v in occ.vertices if degree[v] == fam.sdiamond + 2)
+            if middle not in first or occ.vertices < first[middle].vertices:
+                first[middle] = occ
+        return list(first.values())
 
     def dfs(budget):
-        occ = find_induced_occurrence(g, fam)
-        if occ is None:
+        occs = entries()
+        fallback = None
+        if not occs and fam.clique is not None:
+            fallback = next(iter_clique_occurrences(g, fam.clique), None)
+        if not occs and fallback is None:
             return True
         if budget == 0:
             return False
-        for e in sorted(occ.edges):
+        if occs:
+            unfixed = [(occ.edges - fixed, occ) for occ in occs]
+            load = Counter(e for free, _occ in unfixed for e in free)
+            free, _occ = min(unfixed, key=lambda item: (
+                len(item[0]), -max((load[e] for e in item[0]), default=0), item[1].vertices))
+            edges = sorted(free, key=lambda e: (-load[e], e))
+        else:
+            edges = sorted(fallback.edges - fixed)
+        for e in edges:
             g.remove_edge(*e)
             deleted.append(e)
             if dfs(budget - 1):
                 return True
             g.add_edge(*e)
             deleted.pop()
+            fixed.add(e)
+        fixed.difference_update(edges)
         return False
 
     return frozenset(deleted) if dfs(k) else None
@@ -144,10 +184,27 @@ def _unpruned_deletion_set(g: Graph, fam: FamilySpec, k: int):
 @settings(max_examples=60, deadline=None)
 @given(small_graphs(9), st.integers(0, 4))
 def test_branching_returns_unpruned_deletion_set(g, k):
+    # the packing bound fails only nodes whose search finds nothing, so
+    # neither it nor the index may change the returned set
     for fam in (DIAMOND, FamilySpec.s_diamond(2), FamilySpec.diamond_kt(4)):
         sol = solve_branching(Instance(g.copy(), k, fam))
         # nodes takes no part in equality
-        assert sol == Solution(_unpruned_deletion_set(g, fam, k))
+        assert sol == Solution(_reference_deletion_set(g, fam, k))
+
+
+@pytest.mark.parametrize("n,edges,fam,expected", [
+    (6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (2, 5),
+         (3, 5), (4, 5)], DIAMOND, {(0, 2), (1, 4), (2, 3)}),
+    (8, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (1, 2), (1, 3), (1, 5),
+         (1, 6), (1, 7), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (3, 4), (3, 7), (4, 5),
+         (4, 6)], FamilySpec.s_diamond(2), {(0, 1), (0, 3), (2, 5)}),
+], ids=["diamond", "2-diamond"])
+def test_branching_breaks_ties_by_load(n, edges, fam, expected):
+    # entries with equally few unfixed edges go to the one holding the most
+    # loaded edge; breaking the tie by vertex tuple alone returns another set
+    g = Graph.from_edges(n, edges)
+    sol = solve_branching(Instance(g.copy(), 4, fam))
+    assert sol.delete_set == expected == _reference_deletion_set(g, fam, 4)
 
 
 @settings(max_examples=60, deadline=None)
