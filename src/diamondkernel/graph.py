@@ -24,9 +24,10 @@ def edge_key(u: int, v: int) -> tuple[int, int]:
 
 
 class Graph:
-    def __init__(self) -> None:
-        self._adj: dict[int, set[int]] = {}
-        self._next_id = 0
+    def __init__(self, adj: dict[int, set[int]] | None = None, next_id: int = 0) -> None:
+        """N(v) is adj[v], not copied: symmetric, no self-loops, ids < next_id."""
+        self._adj: dict[int, set[int]] = {} if adj is None else adj
+        self._next_id = next_id
         self._memo: dict[str, object] = {}
 
     # -- construction ------------------------------------------------------
@@ -47,10 +48,7 @@ class Graph:
         return g
 
     def copy(self) -> "Graph":
-        g = Graph()
-        g._adj = {v: set(nbrs) for v, nbrs in self._adj.items()}
-        g._next_id = self._next_id
-        return g
+        return Graph({v: set(nbrs) for v, nbrs in self._adj.items()}, self._next_id)
 
     # -- mutation ----------------------------------------------------------
 
@@ -73,28 +71,35 @@ class Graph:
         self._memo.clear()
         return v
 
+    # Per-item calls check their vertices inline, before changing anything.
     def add_edge(self, u: int, v: int) -> None:
         if u == v:
             raise ValueError(f"self-loop {u}")
-        self._require(u)
-        self._require(v)
-        self._adj[u].add(v)
-        self._adj[v].add(u)
-        self._memo.clear()
+        adj = self._adj
+        if u not in adj or v not in adj:
+            raise UnknownVertexError(v if u in adj else u)
+        adj[u].add(v)
+        adj[v].add(u)
+        if self._memo:
+            self._memo.clear()
 
     def remove_edge(self, u: int, v: int) -> None:
-        self._require(u)
-        self._require(v)
-        self._adj[u].discard(v)
-        self._adj[v].discard(u)
-        self._memo.clear()
+        adj = self._adj
+        if u not in adj or v not in adj:
+            raise UnknownVertexError(v if u in adj else u)
+        adj[u].discard(v)
+        adj[v].discard(u)
+        if self._memo:
+            self._memo.clear()
 
     def remove_vertex(self, v: int) -> None:
-        self._require(v)
-        for u in self._adj[v]:
-            self._adj[u].discard(v)
-        del self._adj[v]
-        self._memo.clear()
+        adj = self._adj
+        if v not in adj:
+            raise UnknownVertexError(v)
+        for u in adj.pop(v):
+            adj[u].discard(v)
+        if self._memo:
+            self._memo.clear()
 
     def remove_vertices(self, vs: Iterable[int]) -> None:
         for v in sorted(vs):
@@ -122,11 +127,13 @@ class Graph:
         return sum(len(nbrs) for nbrs in self._adj.values()) // 2
 
     def neighbors(self, v: int) -> set[int]:
-        self._require(v)
+        if v not in self._adj:
+            raise UnknownVertexError(v)
         return self._adj[v]
 
     def degree(self, v: int) -> int:
-        self._require(v)
+        if v not in self._adj:
+            raise UnknownVertexError(v)
         return len(self._adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -173,20 +180,14 @@ class Graph:
         keep = set(vs)
         for v in keep:
             self._require(v)
-        g = Graph()
-        g._adj = {v: self._adj[v] & keep for v in keep}
-        g._next_id = self._next_id
-        return g
+        return Graph({v: self._adj[v] & keep for v in keep}, self._next_id)
 
     def complement_restricted(self, vs: Iterable[int]) -> "Graph":
         """Graph on vs whose edges are exactly the non-edges of g[vs]."""
         keep = set(vs)
         for v in sorted(keep):
             self._require(v)
-        g = Graph()
-        g._adj = {v: keep - self._adj[v] - {v} for v in keep}
-        g._next_id = self._next_id
-        return g
+        return Graph({v: keep - self._adj[v] - {v} for v in keep}, self._next_id)
 
     # -- connectivity ------------------------------------------------------
 

@@ -1,15 +1,16 @@
 """Instance file format.
 
-DIMACS-flavored, UTF-8, LF:
+DIMACS-flavored, UTF-8, lines ended by LF alone (CRLF works too):
 
     c optional comment lines (first token exactly "c")
     p dfed <n> <m> <k> <family>
     e <u> <v>
 
-Vertex ids are 0-based and must be smaller than n; m must match the number
-of edge lines, and n may not exceed MAX_VERTICES.  The family token is a
-comma-separated list of items: "diamond", "<s>-diamond", or "k<t>" (e.g.
-"diamond,k4").
+n, m, k and the endpoints are ASCII decimal integers; a leading "-" is read
+and then refused.  Vertex ids are 0-based and must be smaller than n; m must
+match the number of edge lines, and n may not exceed MAX_VERTICES.  The
+family token is a comma-separated list of items: "diamond", "<s>-diamond",
+or "k<t>" (e.g. "diamond,k4").
 """
 
 from __future__ import annotations
@@ -24,11 +25,19 @@ from .phase1 import Instance
 MAX_VERTICES = 1_000_000
 
 
+def _integer(token: str) -> int:
+    """int(token) for ASCII digits after an optional "-", else ValueError."""
+    if not (token.removeprefix("-").isdigit() and token.isascii()):
+        raise ValueError(token)
+    return int(token)
+
+
 def parse_instance(text: str) -> Instance:
     header = None
-    edges: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    adj: list[set[int]] = []   # N(v) for v in 0..n-1, filled as edges are read
+    # int() refuses no more than _integer does in ASCII without "+" and "_"
+    integer = int if text.isascii() and "+" not in text and "_" not in text else _integer
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         fields = raw.split()
         if not fields or fields[0] == "c":
             continue
@@ -38,7 +47,7 @@ def parse_instance(text: str) -> Instance:
             if len(fields) != 6 or fields[1] != "dfed":
                 raise ParseError("header must be 'p dfed <n> <m> <k> <family>'", lineno)
             try:
-                n, m, k = int(fields[2]), int(fields[3]), int(fields[4])
+                n, m, k = integer(fields[2]), integer(fields[3]), integer(fields[4])
             except ValueError:
                 raise ParseError("n, m, k must be integers", lineno)
             if n < 0 or m < 0 or k < 0:
@@ -49,34 +58,33 @@ def parse_instance(text: str) -> Instance:
                 family = FamilySpec.parse_token(fields[5])
             except FamilyError as exc:
                 raise ParseError(str(exc), lineno)
-            header = (n, m, k, family)
+            header = (m, k, family)
+            adj = [set() for _ in range(n)]
         elif fields[0] == "e":
             if header is None:
                 raise ParseError("edge line before header", lineno)
             if len(fields) != 3:
                 raise ParseError("edge line must be 'e <u> <v>'", lineno)
             try:
-                u, v = int(fields[1]), int(fields[2])
+                u, v = integer(fields[1]), integer(fields[2])
             except ValueError:
                 raise ParseError("edge endpoints must be integers", lineno)
-            n = header[0]
             if u == v:
                 raise ParseError(f"self-loop at {u}", lineno)
             if not (0 <= u < n and 0 <= v < n):
                 raise ParseError(f"endpoint out of range [0, {n})", lineno)
-            e = edge_key(u, v)
-            if e in seen:
-                raise ParseError(f"duplicate edge {e[0]} {e[1]}", lineno)
-            seen.add(e)
-            edges.append(e)
+            if v in adj[u]:
+                raise ParseError(f"duplicate edge {min(u, v)} {max(u, v)}", lineno)
+            adj[u].add(v)
+            adj[v].add(u)
         else:
             raise ParseError(f"unrecognized line type {fields[0]!r}", lineno)
     if header is None:
         raise ParseError("missing header line")
-    n, m, k, family = header
-    if len(edges) != m:
-        raise ParseError(f"header claims {m} edges, found {len(edges)}")
-    return Instance(Graph.from_edges(n, edges), k, family)
+    m, k, family = header
+    if (found := sum(map(len, adj)) // 2) != m:
+        raise ParseError(f"header claims {m} edges, found {found}")
+    return Instance(Graph(dict(enumerate(adj)), len(adj)), k, family)
 
 
 def serialize_instance(inst: Instance) -> str:

@@ -69,6 +69,7 @@ from collections import Counter
 from copy import copy
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import inf
 from operator import attrgetter
 from typing import Iterator
 
@@ -193,7 +194,11 @@ def centre_edges(g: Graph) -> list[tuple[int, int]]:
 
 def is_family_free(g: Graph, fam: FamilySpec, within: set[int] | None = None) -> bool:
     """True iff g, or g[within] for a union within of components of g, has
-    no induced occurrence of fam; tested in place (see the module docstring)."""
+    no induced occurrence of fam; tested in place (see the module docstring).
+    Fewer vertices than fam's smallest pattern, s + 3 or t, decide it at once."""
+    smallest = min(fam.clique or inf, (fam.sdiamond or inf) + 3)
+    if (g.n if within is None else len(within)) < smallest:
+        return True
     if fam.sdiamond is not None:
         kept = _centre_edges_within(g, g.vertex_set() if within is None else within,
                                     lambda v: frozenset(g.neighbors(v)) | {v})

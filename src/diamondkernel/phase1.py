@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .checks import debug_assertions_enabled, debug_check
 from .family import FamilySpec
@@ -47,8 +47,7 @@ class Instance:
         return Instance(self.graph.copy(), self.k, self.family)
 
 
-@dataclass(frozen=True)
-class RuleEvent:
+class RuleEvent(NamedTuple):
     """One firing.  data is what the rule returned: the deleted edge
     (irrelevant_edge, sunflower), (v, pieces) (vertex_split), or the
     deleted vertex set (irrelevant_component)."""
@@ -170,8 +169,8 @@ def rule_vertex_split(inst: Instance, scope: deque[int] | None = None
     candidates = ([v for v, rep in g.twin_classes().items() if v == rep] if scope is None
                   else _take(scope))
     for v in candidates:
-        components = g.neighborhood_components(v)
-        if len(components) < 2:
+        # fewer than two neighbours make a connected neighbourhood, no walk needed
+        if g.degree(v) < 2 or len(components := g.neighborhood_components(v)) < 2:
             continue
         pieces = []
         for component in components:

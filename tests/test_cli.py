@@ -8,6 +8,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import diamondkernel
 from diamondkernel import cli, harness, phase1, phase2
@@ -47,21 +48,64 @@ def test_parse_family_tokens():
     assert inst.family == FamilySpec.s_diamond(2)
 
 
-@pytest.mark.parametrize("text,fragment", [
-    ("e 0 1\n", "before header"),
-    ("p dfed 2 1 0 diamond\ne 0 0\n", "self-loop"),
-    ("p dfed 2 2 0 diamond\ne 0 1\ne 1 0\n", "duplicate edge"),
-    ("p dfed 2 1 0 diamond\ne 0 5\n", "out of range"),
-    ("p dfed 2 2 0 diamond\ne 0 1\n", "claims 2 edges"),
-    ("p dfed 2 1 -1 diamond\ne 0 1\n", "non-negative"),
-    ("p dfed 2 0 0 paw\n", "unrecognized family"),
-    ("p dfed 2 0 0 diamond\nx 1 2\n", "unrecognized line"),
-    ("p dfed 3 1 0 diamond\ncorrupt line\ne 0 1\n", "unrecognized line"),
-    ("", "missing header"),
-])
-def test_parse_errors(text, fragment):
-    with pytest.raises(ParseError, match=fragment):
+PARSE_ERRORS = [   # text, message fragment, line the error names
+    ("e 0 1\n", "before header", 1),
+    ("p dfed 2 1 0 diamond\ne 0 0\n", "self-loop", 2),
+    ("p dfed 2 2 0 diamond\ne 0 1\ne 1 0\n", "duplicate edge", 3),
+    ("p dfed 2 1 0 diamond\ne 0 5\n", "out of range", 2),
+    ("p dfed 2 2 0 diamond\ne 0 1\n", "claims 2 edges", None),
+    ("p dfed 2 1 -1 diamond\ne 0 1\n", "non-negative", 1),
+    ("p dfed 2 0 0 paw\n", "unrecognized family", 1),
+    ("p dfed 2 0 0 diamond\nx 1 2\n", "unrecognized line", 2),
+    ("p dfed 3 1 0 diamond\ncorrupt line\ne 0 1\n", "unrecognized line", 2),
+    ("", "missing header", None),
+    # int() reads these, the format does not
+    ("p dfed 1_0 0 0 diamond\n", "n, m, k must be integers", 1),
+    ("p dfed 3 1 0 diamond\ne +0 1\n", "endpoints must be integers", 2),
+    ("p dfed 4 1 0 diamond\ne \u0663 1\n", "endpoints must be integers", 2),
+    # only LF ends a line: a form feed or U+2028 is whitespace inside one
+    ("p dfed 3 2 0 diamond\ne 0 1\x0ce 1 2\n", "edge line must be", 2),
+    ("c a\u2028b\np dfed 2 0 0 diamond\nx\n", "unrecognized line", 3),
+]
+
+
+# ids name a row by its text and fragment
+@pytest.mark.parametrize("text,fragment,line", PARSE_ERRORS,
+                         ids=[f"{text}-{fragment}" for text, fragment, _ in PARSE_ERRORS])
+def test_parse_errors(text, fragment, line):
+    with pytest.raises(ParseError, match=fragment) as info:
         parse_instance(text)
+    assert info.value.line == line
+
+
+def test_parse_reads_crlf_and_any_comment():
+    # a comment may hold what an integer may not; CR is whitespace
+    inst = parse_instance("c gen_gnp +1 \u0663\r\np dfed 3 1 0 diamond\r\ne 02 0\r\n")
+    assert inst.graph == Graph.from_edges(3, [(0, 2)]) and inst.k == 0
+
+
+@st.composite
+def edge_files(draw):
+    """(n, edges, text): a random graph, often with isolated vertices,
+    written with its edge lines in random order and some reversed."""
+    n = draw(st.integers(0, 12))
+    pairs = list(combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n)) if pairs else []
+    flips = draw(st.lists(st.booleans(), min_size=len(edges), max_size=len(edges)))
+    lines = [f"e {v} {u}" if flip else f"e {u} {v}" for (u, v), flip in zip(edges, flips)]
+    return n, edges, "\n".join([f"p dfed {n} {len(edges)} 3 diamond,k4", *lines]) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(edge_files())
+def test_parse_builds_what_from_edges_builds(case):
+    n, edges, text = case
+    expected = Graph.from_edges(n, edges)
+    for inst in (parse_instance(text),
+                 parse_instance(serialize_instance(Instance(expected, 3, FamilySpec.diamond_kt(4))))):
+        assert inst.graph == expected and inst.graph._next_id == n
+        assert inst.k == 3 and inst.family == FamilySpec.diamond_kt(4)
+        inst.graph.validate()
 
 
 def test_round_trip_identity():

@@ -43,6 +43,31 @@ def test_unknown_vertex_errors():
         g.complement_restricted({5})
 
 
+@pytest.mark.parametrize("method,args,unknown", [
+    ("neighbors", (99,), 99), ("degree", (99,), 99), ("remove_vertex", (99,), 99),
+    ("add_edge", (0, 99), 99), ("add_edge", (98, 0), 98), ("add_edge", (98, 99), 98),
+    ("remove_edge", (0, 99), 99), ("remove_edge", (98, 1), 98), ("remove_edge", (98, 99), 98),
+])
+def test_unknown_vertex_is_named_and_changes_nothing(method, args, unknown):
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    neighbours, twins = g.neighbors(0), g.twin_classes()
+    with pytest.raises(UnknownVertexError) as info:
+        getattr(g, method)(*args)
+    assert info.value.vertex == unknown
+    assert g.neighbors(0) is neighbours and neighbours == {1}
+    assert g._memo == {"twin_classes": twins} and g == Graph.from_edges(3, [(0, 1), (1, 2)])
+
+
+def test_mutations_clear_the_memo():
+    g = Graph.from_edges(3, [(0, 1)])
+    for mutate in (lambda: g.add_edge(1, 2), lambda: g.remove_edge(0, 1),
+                   lambda: g.remove_vertex(2), g.add_vertex):
+        g.twin_classes()
+        mutate()
+        assert g._memo == {}
+        g.validate()
+
+
 def test_neighborhood_components_bowtie():
     g = bowtie_graph()
     assert g.neighborhood_components(0) == [{1, 2}, {3, 4}]

@@ -2,7 +2,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from diamondkernel import checks, patterns
 from diamondkernel.errors import FamilyError, InvariantError, NotDiamondFreeError
@@ -243,6 +243,31 @@ def test_component_test_in_place_equals_the_induced_copy(g, fam):
     for component in g.connected_components():
         assert (is_family_free(g, fam, component)
                 == (find_induced_occurrence(g.induced_subgraph(component), fam) is None))
+
+
+@st.composite
+def small_pieces(draw):
+    """A disjoint union of up to four graphs on 1-5 vertices each."""
+    g = Graph()
+    for piece in draw(st.lists(small_graphs(5).filter(lambda h: h.n), max_size=4)):
+        ids = {v: g.add_vertex() for v in piece.vertices}
+        for u, v in piece.edges():
+            g.add_edge(ids[u], ids[v])
+    return g
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(small_pieces(), small_graphs(9)),
+       st.sampled_from([DIAMOND, FamilySpec.diamond_kt(4), FamilySpec.diamond_kt(5),
+                        FamilySpec.s_diamond(2)]))
+@example(Graph.from_edges(6, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (4, 5)]), DIAMOND)
+@example(Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]),
+         FamilySpec.diamond_kt(4))
+def test_component_test_equals_the_naive_detector(g, fam):
+    # components smaller than every pattern are decided by their size alone
+    for component in g.connected_components():
+        assert (is_family_free(g, fam, component)
+                == (not has_induced_pattern_naive(g.induced_subgraph(component), fam)))
 
 
 def test_debug_check_finds_a_kept_result_that_a_mutation_left(monkeypatch):

@@ -1,5 +1,6 @@
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from diamondkernel import checks, phase1
@@ -81,6 +82,14 @@ def test_decided_no_keeps_rule_log():
     g = Graph.from_edges(12, [(u + 4 * i, v + 4 * i) for i in range(3) for u, v in diamond])
     out = kernelize(Instance(g, 2, DIAMOND))
     assert out.decided_no and out.log is not None and len(out.log) == 0
+
+
+def test_rule_events_are_immutable():
+    event = RuleEvent("sunflower", (0, 1), 0, -1)
+    for name in RuleEvent._fields:
+        with pytest.raises(AttributeError):
+            setattr(event, name, None)
+    assert event == RuleEvent("sunflower", (0, 1), 0, -1) and event.k_after == -1
 
 
 def test_sunflower_threshold_not_met():
