@@ -68,12 +68,13 @@ def _emit_report(report: dict, out_path: str | None) -> None:
 
 
 def _read_instance(path: str) -> tuple[Instance, str]:
+    # bytes, so no newline translation: lines split as parse_instance splits them
     try:
         if path == "-":
-            text = sys.stdin.read()
+            text = sys.stdin.buffer.read().decode("utf-8")
         else:
-            with open(path, encoding="utf-8") as fh:
-                text = fh.read()
+            with open(path, "rb") as fh:
+                text = fh.read().decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc
     return parse_instance(text), text

@@ -35,8 +35,6 @@ def _integer(token: str) -> int:
 def parse_instance(text: str) -> Instance:
     header = None
     adj: list[set[int]] = []   # N(v) for v in 0..n-1, filled as edges are read
-    # int() refuses no more than _integer does in ASCII without "+" and "_"
-    integer = int if text.isascii() and "+" not in text and "_" not in text else _integer
     for lineno, raw in enumerate(text.split("\n"), start=1):
         fields = raw.split()
         if not fields or fields[0] == "c":
@@ -47,7 +45,7 @@ def parse_instance(text: str) -> Instance:
             if len(fields) != 6 or fields[1] != "dfed":
                 raise ParseError("header must be 'p dfed <n> <m> <k> <family>'", lineno)
             try:
-                n, m, k = integer(fields[2]), integer(fields[3]), integer(fields[4])
+                n, m, k = _integer(fields[2]), _integer(fields[3]), _integer(fields[4])
             except ValueError:
                 raise ParseError("n, m, k must be integers", lineno)
             if n < 0 or m < 0 or k < 0:
@@ -66,7 +64,7 @@ def parse_instance(text: str) -> Instance:
             if len(fields) != 3:
                 raise ParseError("edge line must be 'e <u> <v>'", lineno)
             try:
-                u, v = integer(fields[1]), integer(fields[2])
+                u, v = _integer(fields[1]), _integer(fields[2])
             except ValueError:
                 raise ParseError("edge endpoints must be integers", lineno)
             if u == v:

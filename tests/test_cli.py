@@ -66,6 +66,7 @@ PARSE_ERRORS = [   # text, message fragment, line the error names
     # only LF ends a line: a form feed or U+2028 is whitespace inside one
     ("p dfed 3 2 0 diamond\ne 0 1\x0ce 1 2\n", "edge line must be", 2),
     ("c a\u2028b\np dfed 2 0 0 diamond\nx\n", "unrecognized line", 3),
+    ("p dfed 3 2 0 diamond\ne 0 1\re 1 2\n", "edge line must be", 2),
 ]
 
 
@@ -76,6 +77,21 @@ def test_parse_errors(text, fragment, line):
     with pytest.raises(ParseError, match=fragment) as info:
         parse_instance(text)
     assert info.value.line == line
+
+
+@pytest.mark.parametrize("text,fragment,line", PARSE_ERRORS,
+                         ids=[f"{text}-{fragment}" for text, fragment, _ in PARSE_ERRORS])
+def test_cli_names_the_line_the_parser_names(text, fragment, line, tmp_path, capsys,
+                                            monkeypatch):
+    # a file and stdin are split into lines as parse_instance splits them
+    path = tmp_path / "bad.txt"
+    path.write_bytes(text.encode())
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
+    prefix = "error: " if line is None else f"error: line {line}: "
+    for source in (str(path), "-"):
+        assert main(["kernelize", "-i", source]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(prefix) and fragment in err
 
 
 def test_parse_reads_crlf_and_any_comment():
@@ -158,7 +174,7 @@ def test_kernelize_from_stdin_to_a_report_file(tmp_path, capsys, monkeypatch):
     assert main(["kernelize", "-i", path]) == 0
     from_file = json.loads(capsys.readouterr().out)
     report = str(tmp_path / "report.json")
-    monkeypatch.setattr(sys, "stdin", io.StringIO(open(path).read()))
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(Path(path).read_bytes())))
     assert main(["kernelize", "-i", "-", "--report", report]) == 0
     assert capsys.readouterr().out == ""
     from_stdin = json.loads(open(report).read())
