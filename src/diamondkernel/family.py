@@ -68,9 +68,9 @@ class FamilySpec:
             item = item.strip().lower()
             if item == "diamond":
                 value, slot = 1, "sdiamond"
-            elif m := re.fullmatch(r"(\d+)-diamond", item):
+            elif m := re.fullmatch(r"([0-9]+)-diamond", item):
                 value, slot = int(m.group(1)), "sdiamond"
-            elif m := re.fullmatch(r"k(\d+)", item):
+            elif m := re.fullmatch(r"k([0-9]+)", item):
                 value, slot = int(m.group(1)), "clique"
             else:
                 raise FamilyError(f"unrecognized family item {item!r}")

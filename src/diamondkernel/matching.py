@@ -4,14 +4,16 @@ Blossom contraction over a BFS alternating forest, O(V^3).  A greedy
 2-approximation is not enough here: the sunflower rule's threshold compares
 an exact maximum non-matching against k+1, and the kernel-size constants
 assume the rule fires exactly when stated.  maximum_non_matching_size runs
-a greedy non-matching first and returns it only where it is provably
-maximum; Edmonds' algorithm still decides every other case.
+a greedy non-matching first and returns it where a clique of g[vs] bounds
+every non-matching by its size; Edmonds' algorithm still decides every
+other case.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
+from .checks import debug_assertions_enabled, debug_check
 from .graph import Graph, edge_key
 
 
@@ -102,22 +104,40 @@ def maximum_non_matching_size(g: Graph, vs: set[int]) -> int:
     Equals the maximum matching of the complement restricted to vs, which is
     how the sunflower rule's threshold is evaluated.  A greedy non-matching
     (each vertex in ascending order paired with the smallest free
-    non-neighbour) settles two cases exactly: size 0 means g[vs] has no
-    non-edge at all, since every vertex was tried against all later ones,
-    and size |vs| // 2 is perfect, so nothing larger exists.  Only the cases
-    in between need Edmonds' algorithm on the complement, and it is what
-    keeps the threshold exact there.
+    non-neighbour) is maximal, so the vertices it leaves unpaired are
+    pairwise adjacent: each saw no free non-neighbour.  That clique Q grows
+    by one end of each greedy pair that sees all of Q.  A non-edge has at
+    most one end in Q, so no non-matching exceeds |vs| - |Q|, nor |vs| // 2;
+    when the greedy count meets the smaller bound it is the maximum.  Only
+    the other cases need Edmonds' algorithm on the complement, and it is
+    what keeps the threshold exact there.
     """
     free = set(vs)
-    greedy = 0
+    pairs = []
+    clique = []
     for u in sorted(vs):
-        if u not in free:
-            continue
-        free.discard(u)
-        partners = free - g.neighbors(u)
-        if partners:
-            free.discard(min(partners))
-            greedy += 1
-    if greedy == 0 or greedy == len(vs) // 2:
-        return greedy
-    return len(maximum_matching(g.complement_restricted(vs)))
+        if u in free:
+            free.remove(u)
+            partners = free - g.neighbors(u)
+            if partners:
+                w = min(partners)
+                free.remove(w)
+                pairs.append((u, w))
+            else:
+                clique.append(u)
+    greedy, n = len(pairs), len(vs)
+    # min(n // 2, n - |Q|) == greedy: the pairing is perfect, or Q reaches n - greedy
+    if greedy < n // 2:
+        for pair in pairs:
+            if len(clique) >= n - greedy:
+                break
+            for u in pair:
+                if g.neighbors(u).issuperset(clique):
+                    clique.append(u)
+                    break
+        if len(clique) < n - greedy:
+            return len(maximum_matching(g.complement_restricted(vs)))
+    if debug_assertions_enabled():
+        debug_check(greedy == len(maximum_matching(g.complement_restricted(vs))),
+                    "the clique bound settled a non-matching below its maximum")
+    return greedy

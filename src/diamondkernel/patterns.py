@@ -147,16 +147,27 @@ def _first_centred(g: Graph, x: int, y: int, s: int, avoid: frozenset | set | tu
     return None if group is None else _sdiamond_occurrence(x, y, group, s)
 
 
-def _clusters_neighbourhood(g: Graph, x: int) -> bool:
-    """True iff G[N(x)] is a disjoint union of cliques."""
+def _clusters_neighbourhood(g: Graph, x: int, twin_key) -> bool:
+    """True iff G[N(x)] is a disjoint union of cliques.
+
+    A block member z passes when (N(z) & N(x)) | {z} = N[z] & N(x) is the
+    block, so one member per twin_key (equal keys, equal N[z]) is tested,
+    and members twinned with the popped y pass by definition."""
     nx = g.neighbors(x)
     rest = set(nx)
     while rest:
         y = rest.pop()
         others = g.neighbors(y) & nx
+        if not others:  # y alone is a block
+            continue
         block = others | {y}
-        if any((g.neighbors(z) & nx) | {z} != block for z in others):
-            return False
+        tested = {twin_key(y)}
+        for z in others:
+            key = twin_key(z)
+            if key not in tested:
+                if (g.neighbors(z) & nx) | {z} != block:
+                    return False
+                tested.add(key)
         rest -= others
     return True
 
@@ -169,7 +180,7 @@ def _centre_edges_within(g: Graph, vertices, twin_key) -> list[tuple[int, int]]:
         if g.degree(v) > 2:
             key = twin_key(v)
             if key not in verdicts:
-                verdicts[key] = not _clusters_neighbourhood(g, v)
+                verdicts[key] = not _clusters_neighbourhood(g, v, twin_key)
             if verdicts[key]:
                 centres.add(v)
     kept = sorted((x, y) for x in centres for y in g.neighbors(x) & centres if x < y)
@@ -200,8 +211,14 @@ def is_family_free(g: Graph, fam: FamilySpec, within: set[int] | None = None) ->
     if (g.n if within is None else len(within)) < smallest:
         return True
     if fam.sdiamond is not None:
-        kept = _centre_edges_within(g, g.vertex_set() if within is None else within,
-                                    lambda v: frozenset(g.neighbors(v)) | {v})
+        closed: dict[int, frozenset[int]] = {}
+
+        def twin_key(v: int) -> frozenset[int]:
+            if v not in closed:
+                closed[v] = frozenset(g.neighbors(v)) | {v}
+            return closed[v]
+
+        kept = _centre_edges_within(g, g.vertex_set() if within is None else within, twin_key)
         if any(_first_centred(g, x, y, fam.sdiamond, ()) is not None for x, y in kept):
             return False
     return fam.clique is None or next(

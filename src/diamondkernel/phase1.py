@@ -12,8 +12,10 @@ A full scan of the edge or split rule decides once per pair of twin
 classes or per class (Graph.twin_classes()): swapping two true twins is
 an automorphism, so the edges between two classes share their core
 membership and twins' neighbourhoods have as many components; the first
-item of each fires exactly when all would.  Scans of a driver's deque
-stay per item: they follow a firing, which clears the classes.
+item of each fires exactly when all would.  The split scan walks only the
+singleton classes: a true twin t of v sees every other vertex of N(v),
+so N(v) is connected.  Scans of a driver's deque stay per item: they
+follow a firing, which clears the classes.
 """
 
 from __future__ import annotations
@@ -166,8 +168,13 @@ def rule_vertex_split(inst: Instance, scope: deque[int] | None = None
     the vertex_split event that replay re-applies.
     """
     g = inst.graph
-    candidates = ([v for v, rep in g.twin_classes().items() if v == rep] if scope is None
-                  else _take(scope))
+    if scope is None:
+        # a twin t of v sees every other neighbour of v, so N(v) is connected
+        twin = g.twin_classes()
+        shared = {rep for v, rep in twin.items() if v != rep}
+        candidates = [v for v, rep in twin.items() if v == rep and v not in shared]
+    else:
+        candidates = _take(scope)
     for v in candidates:
         # fewer than two neighbours make a connected neighbourhood, no walk needed
         if g.degree(v) < 2 or len(components := g.neighborhood_components(v)) < 2:

@@ -63,6 +63,8 @@ PARSE_ERRORS = [   # text, message fragment, line the error names
     ("p dfed 1_0 0 0 diamond\n", "n, m, k must be integers", 1),
     ("p dfed 3 1 0 diamond\ne +0 1\n", "endpoints must be integers", 2),
     ("p dfed 4 1 0 diamond\ne \u0663 1\n", "endpoints must be integers", 2),
+    ("p dfed 2 0 0 k\u0664\n", "unrecognized family", 1),
+    ("p dfed 2 0 0 \u0662-diamond\n", "unrecognized family", 1),
     # only LF ends a line: a form feed or U+2028 is whitespace inside one
     ("p dfed 3 2 0 diamond\ne 0 1\x0ce 1 2\n", "edge line must be", 2),
     ("c a\u2028b\np dfed 2 0 0 diamond\nx\n", "unrecognized line", 3),

@@ -3,6 +3,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from diamondkernel import checks, matching
 from diamondkernel.graph import Graph
 from diamondkernel.matching import maximum_matching, maximum_non_matching_size
 
@@ -83,6 +84,26 @@ def test_non_matching_shortcut_cases(g, expected):
     vs = g.vertex_set()
     assert maximum_non_matching_size(g, vs) == expected
     assert expected == brute_force_matching_size(g.complement_restricted(vs))
+
+
+@pytest.mark.parametrize("g,expected,edmonds", [
+    # greedy pairs 0 with the isolated 5 and leaves the clique {1, 2, 3, 4};
+    # 0 joins it, so no non-matching exceeds 6 - 5 = 1
+    (Graph.from_edges(6, combinations(range(5), 2)), 1, 0),
+    # the path 2-0-1-3 of non-edges: the clique {2, 3} grows by neither 0 nor 1
+    (Graph.from_edges(4, [(0, 3), (1, 2), (2, 3)]), 2, 1),
+])
+def test_clique_bound_decides_when_edmonds_runs(monkeypatch, g, expected, edmonds):
+    calls = []
+    real = matching.maximum_matching
+    monkeypatch.setattr(matching, "maximum_matching", lambda h: calls.append(h) or real(h))
+    vs = g.vertex_set()
+    checks.set_debug_assertions(False)
+    assert maximum_non_matching_size(g, vs) == expected and len(calls) == edmonds
+    # under debug assertions a settled count is checked against Edmonds' algorithm
+    calls.clear()
+    checks.set_debug_assertions(True)
+    assert maximum_non_matching_size(g, vs) == expected and len(calls) == 1
 
 
 @settings(max_examples=200, deadline=None)

@@ -139,7 +139,8 @@ def has_induced_p3_around(g, v):
 @given(small_graphs(9))
 def test_centre_edges_keep_every_possible_middle_edge(g):
     for v in g.vertices:
-        assert _clusters_neighbourhood(g, v) == (not has_induced_p3_around(g, v))
+        assert _clusters_neighbourhood(g, v, g.twin_classes().__getitem__) == \
+            (not has_induced_p3_around(g, v))
     kept = centre_edges(g)
     assert kept == [e for e in g.edges() if e in set(kept)]
     for s in (1, 2):
@@ -173,9 +174,10 @@ def blow_ups(draw, max_base=6):
 
 
 def centre_edges_per_vertex(g):
-    """centre_edges with the neighbourhood test run on every vertex."""
+    """centre_edges with the neighbourhood test run on every vertex and,
+    each vertex keyed as its own class, on every block member."""
     centres = {v for v in g.vertex_set()
-               if g.degree(v) > 2 and not _clusters_neighbourhood(g, v)}
+               if g.degree(v) > 2 and not _clusters_neighbourhood(g, v, lambda z: z)}
     return sorted((x, y) for x in centres for y in g.neighbors(x) & centres if x < y)
 
 
@@ -189,7 +191,7 @@ def test_cluster_test_runs_once_per_class_of_true_twins(monkeypatch):
     calls = []
     real = patterns._clusters_neighbourhood
     monkeypatch.setattr(patterns, "_clusters_neighbourhood",
-                        lambda g, x: calls.append(x) or real(g, x))
+                        lambda g, x, twin_key: calls.append(x) or real(g, x, twin_key))
     # per copy: one class for the 16 clique vertices, then a, b and p (q has degree 2)
     g, centres = apex_gadgets(3, 16)
     assert centre_edges(g) == centres and len(calls) == 12

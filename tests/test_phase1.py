@@ -3,7 +3,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diamondkernel import checks, phase1
+from diamondkernel import checks, matching, phase1
 from diamondkernel.family import FamilySpec
 from diamondkernel.graph import Graph
 from diamondkernel.instances import clique_layout, gen_gnp, gen_hard_structure, gen_planted_yes
@@ -381,6 +381,18 @@ def test_sunflower_examines_only_centre_edges_on_apex_gadget(monkeypatch):
     assert 0 < len(calls) <= 3 * 3
 
 
+def test_sunflower_on_apex_gadget_settles_every_count_without_edmonds(monkeypatch):
+    # under debug assertions each settled count is cross-checked by Edmonds' algorithm
+    checks.set_debug_assertions(False)
+    calls = []
+    real = matching.maximum_matching
+    monkeypatch.setattr(matching, "maximum_matching", lambda g: calls.append(g) or real(g))
+    g, _ = apex_gadgets(3, 16)
+    # each common neighbourhood is a clique plus at most one vertex outside it
+    assert rule_sunflower(Instance(g, 3, DIAMOND)) is None
+    assert calls == []
+
+
 def test_phase1_work_grows_linearly_on_clique_chains(monkeypatch):
     calls = []
     real = phase1.is_core_member_edge
@@ -435,6 +447,26 @@ def test_class_shared_full_scans_fire_like_per_item_scans(g, fam):
     while (expected := split_vertex_per_vertex(inst)) is not None:
         assert rule_vertex_split(inst)[0] == expected
     assert rule_vertex_split(inst) is None
+
+
+def test_full_split_scan_walks_only_singleton_twin_classes(monkeypatch):
+    walks = []
+    real = Graph.neighborhood_components
+    monkeypatch.setattr(Graph, "neighborhood_components",
+                        lambda g, v: walks.append(v) or real(g, v))
+    g, _ = apex_gadgets(3, 16)
+    assert rule_vertex_split(Instance(g, 3, DIAMOND)) is None
+    # per copy a, b, p and q; the 16 clique vertices are true twins
+    assert len(walks) == 12
+
+
+@settings(max_examples=200, deadline=None)
+@given(blow_ups())
+def test_a_vertex_with_a_true_twin_has_a_connected_neighbourhood(g):
+    closed = {v: g.neighbors(v) | {v} for v in g.vertices}
+    for v in g.vertices:
+        if any(closed[u] == closed[v] for u in g.vertices if u != v):
+            assert len(g.neighborhood_components(v)) == 1
 
 
 def test_phase1_work_on_apex_gadgets_is_per_twin_class(monkeypatch):

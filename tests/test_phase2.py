@@ -304,6 +304,17 @@ def test_kernelize_survives_restored_pair_trap():
     assert out.report.quota_warnings == 1  # the rule deleted past the lemma quota
 
 
+def test_kernelize_apex_gadgets_under_debug_assertions():
+    # the autouse fixture checks every clique-bound count against Edmonds' algorithm;
+    # phase 1 is quiet and clique reduction shrinks each copy's clique
+    for c, q in ((3, 16), (5, 24)):
+        g, _ = apex_gadgets(c, q)
+        yes = kernelize(Instance(g.copy(), c, DIAMOND))
+        assert not yes.decided_no and yes.report.bound_ok
+        assert yes.report.rule_firings == {"clique_reduction": c}
+        assert kernelize(Instance(g, c - 1, DIAMOND)).decided_no
+
+
 def test_vertex_bounds():
     assert dfed_vertex_bound(0) == 0
     assert dfed_vertex_bound(1) == 152 + 70 + 7
