@@ -11,18 +11,32 @@ and then refused.  Vertex ids are 0-based and must be smaller than n; m must
 match the number of edge lines, and n may not exceed MAX_VERTICES.  The
 family token is a comma-separated list of items: "diamond", "<s>-diamond",
 or "k<t>" (e.g. "diamond,k4").
+
+A file in the canonical form that serialize_instance writes (the header on
+line 1, then "e <u> <v>" lines with single spaces, every line ended by LF)
+is read in one sweep: each slice of edge lines is checked by one regular
+expression and converted in bulk.  Every other file, and every file with
+an error, goes through the line reader, the only source of a ParseError.
 """
 
 from __future__ import annotations
 
+import re
+
 from .errors import FamilyError, ParseError
 from .family import FamilySpec
-from .graph import Graph, edge_key
+from .graph import Graph
 from .phase1 import Instance
 
 # The graph holds one adjacency set per vertex named in the header, about
 # 250 bytes each before any edge is read, so the header's n is capped.
 MAX_VERTICES = 1_000_000
+
+_CANONICAL_HEADER = re.compile(r"p dfed ([0-9]+) ([0-9]+) ([0-9]+) ([0-9a-z,-]+)")
+_CANONICAL_EDGES = re.compile(r"(?:e [0-9]+ [0-9]+\n)*")
+# The sweep converts the edge lines in slices of at most this many
+# characters, cut at line ends, so its token lists never cover the file.
+_SLICE = 1 << 16
 
 
 def _integer(token: str) -> int:
@@ -33,6 +47,52 @@ def _integer(token: str) -> int:
 
 
 def parse_instance(text: str) -> Instance:
+    inst = _parse_canonical(text)
+    return _parse_lines(text) if inst is None else inst
+
+
+def _parse_canonical(text: str) -> Instance | None:
+    """The instance of a valid file in the canonical form, read in one
+    sweep; None for any other text.  Edges go into the adjacency sets in
+    line order, as the line reader puts them, so every set iterates alike."""
+    if not text.endswith("\n"):
+        return None
+    head_end = text.find("\n")
+    if (header := _CANONICAL_HEADER.fullmatch(text, 0, head_end)) is None:
+        return None
+    try:
+        n, m, k = map(int, header.group(1, 2, 3))
+        family = FamilySpec.parse_token(header[4])
+    except (ValueError, FamilyError):   # int() refuses over 4,300 digits
+        return None
+    if n > MAX_VERTICES or text.count("\n", head_end + 1) != m:
+        return None
+    adj: list[set[int]] = [set() for _ in range(n)]
+    start = head_end + 1
+    while start < len(text):
+        end = text.rfind("\n", start, start + _SLICE) + 1
+        if end <= start or _CANONICAL_EDGES.fullmatch(text, start, end) is None:
+            return None
+        tokens = text[start:end].split()
+        del tokens[::3]   # the "e" tokens
+        try:
+            ends = list(map(int, tokens))
+        except ValueError:
+            return None
+        if max(ends) >= n or any(map(int.__eq__, ends[::2], ends[1::2])):
+            return None
+        pairs = iter(ends)
+        for u, v in zip(pairs, pairs):
+            adj[u].add(v)
+            adj[v].add(u)
+        start = end
+    if sum(map(len, adj)) != 2 * m:   # a duplicate edge
+        return None
+    return Instance(Graph(dict(enumerate(adj)), n), k, family)
+
+
+def _parse_lines(text: str) -> Instance:
+    """The line reader: any valid file, and every ParseError."""
     header = None
     adj: list[set[int]] = []   # N(v) for v in 0..n-1, filled as edges are read
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -89,8 +149,8 @@ def serialize_instance(inst: Instance) -> str:
     """Canonical text form; vertex ids are normalized to 0..n-1 in ascending
     order of the original ids, so parse(serialize(x)) round-trips exactly
     for normalized instances."""
-    relabel = {v: i for i, v in enumerate(inst.graph.vertices)}
-    edges = sorted(edge_key(relabel[u], relabel[v]) for u, v in inst.graph.edges())
-    lines = [f"p dfed {inst.graph.n} {len(edges)} {inst.k} {inst.family.token()}"]
-    lines.extend(f"e {u} {v}" for u, v in edges)
+    g = inst.graph
+    relabel = {v: i for i, v in enumerate(g.vertices)}   # monotone, so edges() stays ascending
+    lines = [f"p dfed {g.n} {g.m} {inst.k} {inst.family.token()}"]
+    lines.extend(f"e {relabel[u]} {relabel[v]}" for u, v in g.edges())
     return "\n".join(lines) + "\n"

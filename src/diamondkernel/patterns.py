@@ -43,10 +43,14 @@ centre_edges(g) are kept in g.memo, computed once per graph state: every
 mutation of g clears them.  The index's toggle and mask refreshes are local
 already and stay unfiltered, and so does iter_sdiamond_occurrences, the
 reference the tests compare with.  is_family_free tests g, or a union C
-of its components, in place and keyed by N[v], not by the twin classes a
-mutation clears, so that it costs only C: every neighbourhood in C lies in
-C, so C's centre edges and s-diamonds are those of g[C], and a K_t search
-from C stays in C.  greedy_packing's debug maximality check is one scan.
+of its components, in place, so that it costs only C: every neighbourhood
+in C lies in C, so C's centre edges and s-diamonds are those of g[C], and
+a K_t search from C stays in C.  When centre_edges(g) is kept, it reads
+the kept centre vertices inside C instead of testing them again (a
+verdict depends on G[N(v)] alone, and the twin key only deduplicates
+tests); otherwise it tests C keyed by N[v], since the twin classes are
+cleared by every mutation.  greedy_packing's debug maximality check is
+one scan.
 
 OccurrenceIndex stores that per-edge first occurrence for every edge, so
 the minimum over its entries is the scan's answer.  Whether xy centres an
@@ -172,8 +176,9 @@ def _clusters_neighbourhood(g: Graph, x: int, twin_key) -> bool:
     return True
 
 
-def _centre_edges_within(g: Graph, vertices, twin_key) -> list[tuple[int, int]]:
-    """centre_edges inside a union of components, one test per twin_key(v)."""
+def _centres(g: Graph, vertices, twin_key) -> set[int]:
+    """The vertices of degree > 2 with an unclustered neighbourhood, one
+    test per twin_key(v)."""
     verdicts: dict[object, bool] = {}
     centres = set()
     for v in vertices:
@@ -183,13 +188,25 @@ def _centre_edges_within(g: Graph, vertices, twin_key) -> list[tuple[int, int]]:
                 verdicts[key] = not _clusters_neighbourhood(g, v, twin_key)
             if verdicts[key]:
                 centres.add(v)
-    kept = sorted((x, y) for x in centres for y in g.neighbors(x) & centres if x < y)
+    return centres
+
+
+def _edges_among(g: Graph, centres: set[int] | frozenset[int], vertices) -> list[tuple[int, int]]:
+    """The edges between centres, ascending: the centre edges inside
+    vertices, a union of components that holds centres."""
+    edges = sorted((x, y) for x in centres for y in g.neighbors(x) & centres if x < y)
     if debug_assertions_enabled():
-        for x, y in {(x, y) for x in vertices for y in g.neighbors(x) if x < y}.difference(kept):
+        for x, y in {(x, y) for x in vertices for y in g.neighbors(x) if x < y}.difference(edges):
             common = g.neighbors(x) & g.neighbors(y)
             debug_check(all(common - {z} <= g.neighbors(z) for z in common),
                         f"edge {x}-{y} left out, but its common neighbourhood has a non-edge")
-    return kept
+    return edges
+
+
+def _kept_centres(g: Graph) -> tuple[frozenset[int], tuple[tuple[int, int], ...]]:
+    """The centre vertices of g and the edges among them, per twin class."""
+    centres = _centres(g, g.vertex_set(), g.twin_classes().__getitem__)
+    return frozenset(centres), tuple(_edges_among(g, centres, g.vertex_set()))
 
 
 def centre_edges(g: Graph) -> list[tuple[int, int]]:
@@ -197,10 +214,10 @@ def centre_edges(g: Graph) -> list[tuple[int, int]]:
     an s-diamond: both ends have degree > 2 and an unclustered neighbourhood.
 
     The neighbourhood test runs once per class of g.twin_classes(), and
-    the answer is kept until g changes; each call returns a fresh list.
+    the centre vertices and edges are kept until g changes; each call
+    returns a fresh list.
     """
-    return list(g.memo("centre_edges", lambda g: tuple(
-        _centre_edges_within(g, g.vertex_set(), g.twin_classes().__getitem__))))
+    return list(g.memo("centre_edges", _kept_centres)[1])
 
 
 def is_family_free(g: Graph, fam: FamilySpec, within: set[int] | None = None) -> bool:
@@ -211,15 +228,21 @@ def is_family_free(g: Graph, fam: FamilySpec, within: set[int] | None = None) ->
     if (g.n if within is None else len(within)) < smallest:
         return True
     if fam.sdiamond is not None:
-        closed: dict[int, frozenset[int]] = {}
+        vertices = g.vertex_set() if within is None else within
+        kept = g.kept("centre_edges", _kept_centres)
+        if kept is not None:
+            centres = kept[0] & vertices
+        else:
+            closed: dict[int, frozenset[int]] = {}
 
-        def twin_key(v: int) -> frozenset[int]:
-            if v not in closed:
-                closed[v] = frozenset(g.neighbors(v)) | {v}
-            return closed[v]
+            def twin_key(v: int) -> frozenset[int]:
+                if v not in closed:
+                    closed[v] = frozenset(g.neighbors(v)) | {v}
+                return closed[v]
 
-        kept = _centre_edges_within(g, g.vertex_set() if within is None else within, twin_key)
-        if any(_first_centred(g, x, y, fam.sdiamond, ()) is not None for x, y in kept):
+            centres = _centres(g, vertices, twin_key)
+        if any(_first_centred(g, x, y, fam.sdiamond, ()) is not None
+               for x, y in _edges_among(g, centres, vertices)):
             return False
     return fam.clique is None or next(
         iter_clique_occurrences(g, fam.clique, within=within), None) is None

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from itertools import combinations
 from pathlib import Path
 
@@ -11,12 +12,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import diamondkernel
-from diamondkernel import cli, harness, phase1, phase2
+from diamondkernel import cli, harness, io as instance_io, phase1, phase2
 from diamondkernel.cli import main, report_digest
 from diamondkernel.errors import InvariantError, ParseError
 from diamondkernel.family import FamilySpec
 from diamondkernel.graph import Graph
 from diamondkernel.harness import verify_rule_safety
+from diamondkernel.instances import gen_gnp
 from diamondkernel.io import MAX_VERTICES, parse_instance, serialize_instance
 from diamondkernel.phase1 import Instance
 from diamondkernel.solver import Solution, solve_branching
@@ -124,6 +126,90 @@ def test_parse_builds_what_from_edges_builds(case):
         assert inst.graph == expected and inst.graph._next_id == n
         assert inst.k == 3 and inst.family == FamilySpec.diamond_kt(4)
         inst.graph.validate()
+
+
+def read_outcome(read, text):
+    """What a reader makes of text: the instance with each adjacency set
+    in its iteration order, or the ParseError's message and line."""
+    try:
+        inst = read(text)
+    except ParseError as exc:
+        return str(exc), exc.line
+    g = inst.graph
+    return [(v, list(nbrs)) for v, nbrs in g._adj.items()], g._next_id, inst.k, inst.family
+
+
+MUTATION_CHARS = "019 \t\r\nce-+_p\x0c\u0664"
+
+
+@st.composite
+def mutated_canonical_texts(draw):
+    """A serialized random instance, often with one character inserted,
+    deleted or replaced, or one line repeated."""
+    n, edges, _ = draw(edge_files())
+    fam = draw(st.sampled_from([FamilySpec.diamond(), FamilySpec.diamond_kt(4),
+                                FamilySpec.s_diamond(2)]))
+    text = serialize_instance(Instance(Graph.from_edges(n, edges), draw(st.integers(0, 3)), fam))
+    op = draw(st.sampled_from(["none", "insert", "delete", "replace", "repeat line"]))
+    i = draw(st.integers(0, len(text) - 1))
+    char = draw(st.sampled_from(MUTATION_CHARS))
+    if op == "insert":
+        text = text[:i] + char + text[i:]
+    elif op == "delete":
+        text = text[:i] + text[i + 1:]
+    elif op == "replace":
+        text = text[:i] + char + text[i + 1:]
+    elif op == "repeat line":
+        lines = text.splitlines(keepends=True)
+        j = i % len(lines)
+        text = "".join(lines[:j + 1] + lines[j:])
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_canonical_texts())
+def test_sweep_reads_what_the_line_reader_reads(text):
+    assert read_outcome(parse_instance, text) == read_outcome(instance_io._parse_lines, text)
+
+
+CANONICAL = "p dfed 3 2 1 diamond\ne 0 1\ne 1 2\n"
+READER_ROWS = [   # id, text, whether the sweep reads it
+    ("canonical", CANONICAL, True),
+    ("no final LF", CANONICAL[:-1], False),
+    ("CRLF", CANONICAL.replace("\n", "\r\n"), False),
+    ("leading c line", "c x\n" + CANONICAL, False),
+    ("tab", CANONICAL.replace("e 0 1", "e 0\t1"), False),
+    ("leading zero", CANONICAL.replace("e 1 2", "e 01 2"), True),
+    ("reversed duplicate", CANONICAL.replace("e 1 2", "e 1 0"), False),
+    ("self-loop", CANONICAL.replace("e 1 2", "e 2 2"), False),
+    ("endpoint = n", CANONICAL.replace("e 1 2", "e 1 3"), False),
+    ("negative endpoint", CANONICAL.replace("e 1 2", "e -1 2"), False),
+    ("5,000-digit endpoint", CANONICAL.replace("e 1 2", "e 1 " + "1" * 5000), False),
+    ("m one too many", CANONICAL.replace("3 2 1", "3 3 1"), False),
+    ("m one too few", CANONICAL.replace("3 2 1", "3 1 1"), False),
+    ("n over the limit", f"p dfed {MAX_VERTICES + 1} 0 0 diamond\n", False),
+    ("header only", "p dfed 3 0 1 diamond\n", True),
+    ("non-ASCII family digit", "p dfed 2 0 0 k\u0664\n", False),
+]
+
+
+@pytest.mark.parametrize("text,swept", [row[1:] for row in READER_ROWS],
+                         ids=[row[0] for row in READER_ROWS])
+def test_reader_rows_take_the_same_path(text, swept):
+    assert (instance_io._parse_canonical(text) is not None) == swept
+    assert read_outcome(parse_instance, text) == read_outcome(instance_io._parse_lines, text)
+
+
+def test_sweep_peaks_no_higher_than_the_line_reader():
+    text = serialize_instance(Instance(gen_gnp(20000, 0.001, 1), 5, FamilySpec.diamond()))
+    assert text.count("\n") == 200_474
+    peaks = []
+    for read in (instance_io._parse_lines, parse_instance):
+        tracemalloc.start()
+        read(text)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] <= peaks[0]
 
 
 def test_round_trip_identity():

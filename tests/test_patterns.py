@@ -294,6 +294,23 @@ def test_debug_check_finds_a_kept_result_that_a_mutation_left(monkeypatch):
         d.twin_classes()
 
 
+def test_component_test_checks_the_kept_centres_it_reads(monkeypatch):
+    def remove_edge_keeping_memo(self, u, v):
+        self._adj[u].discard(v)
+        self._adj[v].discard(u)
+
+    g = Graph.from_edges(6, [(0, 1), (0, 4), (0, 5), (1, 2), (1, 5), (2, 5), (2, 3), (3, 5),
+                             (4, 5)])
+    assert g.kept("centre_edges", patterns._kept_centres) is None
+    assert not is_family_free(g, DIAMOND) and g.kept("centre_edges", patterns._kept_centres) is None
+    kept = centre_edges(g)
+    assert g.kept("centre_edges", patterns._kept_centres) == ({0, 1, 2, 5}, tuple(kept))
+    monkeypatch.setattr(Graph, "remove_edge", remove_edge_keeping_memo)
+    g.remove_edge(0, 4)
+    with pytest.raises(InvariantError, match="kept centre_edges is stale"):
+        is_family_free(g, DIAMOND, set(range(6)))
+
+
 # -- core membership -----------------------------------------------------------------
 
 def core_member_by_counting(g, e, fam):

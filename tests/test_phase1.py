@@ -3,7 +3,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diamondkernel import checks, matching, phase1
+from diamondkernel import checks, matching, patterns, phase1
 from diamondkernel.family import FamilySpec
 from diamondkernel.graph import Graph
 from diamondkernel.instances import clique_layout, gen_gnp, gen_hard_structure, gen_planted_yes
@@ -12,7 +12,7 @@ from diamondkernel.phase1 import (Instance, RuleEvent, RuleLog, replay, rules,
                                   rule_irrelevant_edge, rule_sunflower, rule_vertex_split,
                                   run_phase1)
 from diamondkernel.matching import maximum_non_matching_size
-from diamondkernel.patterns import centre_edges, is_core_member_edge
+from diamondkernel.patterns import centre_edges, is_core_member_edge, is_family_free
 from diamondkernel.phase2 import kernelize
 from diamondkernel.solver import brute_force_min_deletion
 
@@ -391,6 +391,32 @@ def test_sunflower_on_apex_gadget_settles_every_count_without_edmonds(monkeypatc
     # each common neighbourhood is a clique plus at most one vertex outside it
     assert rule_sunflower(Instance(g, 3, DIAMOND)) is None
     assert calls == []
+
+
+def test_component_rule_reads_the_centres_the_sunflower_rule_kept(monkeypatch):
+    # one test per class of each copy, made by the sunflower rule; every
+    # component then reads the kept centre vertices instead of testing again.
+    # Under debug assertions each read recomputes what it reads
+    checks.set_debug_assertions(False)
+    calls = []
+    real = patterns._clusters_neighbourhood
+    monkeypatch.setattr(patterns, "_clusters_neighbourhood",
+                        lambda g, x, twin_key: calls.append(x) or real(g, x, twin_key))
+    g, _ = apex_gadgets(3, 16)
+    _, log = run_phase1(Instance(g, 3, DIAMOND))
+    assert len(log) == 0 and len(calls) == 12
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(phase1_inputs(),
+                 st.builds(lambda g, fam: Instance(g, 0, fam), blow_ups(),
+                           st.sampled_from(PHASE1_FAMILIES + (FamilySpec.s_diamond(2),)))))
+def test_component_test_with_kept_centres_equals_a_fresh_copy(inst):
+    g, fam = inst.graph, inst.family
+    centre_edges(g)
+    for component in g.connected_components():
+        assert is_family_free(g, fam, component) == is_family_free(g.copy(), fam, component)
+    assert is_family_free(g, fam) == is_family_free(g.copy(), fam)
 
 
 def test_phase1_work_grows_linearly_on_clique_chains(monkeypatch):
