@@ -1,7 +1,8 @@
 """Seeded rule-safety verification and the kernel-bound check.
 
 The verifier is the executable form of the safety claims: on a seeded
-random corpus it applies every reduction rule once, runs phase 1 to a
+random corpus it calls every reduction rule once (a whole sweep of the
+edge, split and component rules, one sunflower firing), runs phase 1 to a
 fixpoint that its rule log must replay to, runs the full kernelization,
 and compares decisions against the brute-force deletion oracle (the solver
 check also passes every deletion set it gets to check_solution).  The

@@ -3,26 +3,26 @@ irrelevant-component rules, plus the fixpoint driver.
 
 rules() is the one table of the rules and their priority order.  Each
 rule is individually decision-preserving, so the order only pins down
-reproducibility.  The driver fires what rescanning the table from its top
-after every firing would fire, in the same order, in three stages (the
-edge rules, vertex splits, irrelevant components) in which each rule
-resumes after the item it last fired on; run_phase1 says why.
+reproducibility.  The edge, split and component rules each make every
+firing over their scope in one call, a sweep, and return the data of
+their firings in firing order; the sunflower rule fires once per call,
+since lowering k reopens its verdicts.  The driver fires what rescanning
+the table from its top after every firing would fire, in the same order,
+in three stages (the edge rules, vertex splits, irrelevant components);
+run_phase1 says why.
 
-A full scan of the edge or split rule decides once per pair of twin
+A full sweep of the edge or split rule decides once per pair of twin
 classes or per class (Graph.twin_classes()): swapping two true twins is
 an automorphism, so the edges between two classes share their core
-membership and twins' neighbourhoods have as many components; the first
-item of each fires exactly when all would.  The split scan walks only the
-singleton classes: a true twin t of v sees every other vertex of N(v),
-so N(v) is connected.  Scans of a driver's deque stay per item: they
-follow a firing, which clears the classes.
+membership and twins' neighbourhoods have as many components.  The split
+sweep walks only the singleton classes: a true twin t of v sees every
+other vertex of N(v), so N(v) is connected.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 from .checks import debug_assertions_enabled, debug_check
 from .family import FamilySpec
@@ -50,8 +50,8 @@ class Instance:
 
 
 class RuleEvent(NamedTuple):
-    """One firing.  data is what the rule returned: the deleted edge
-    (irrelevant_edge, sunflower), (v, pieces) (vertex_split), or the
+    """One firing.  data is what the rule returned for it: the deleted
+    edge (irrelevant_edge, sunflower), (v, pieces) (vertex_split), or the
     deleted vertex set (irrelevant_component)."""
 
     rule: str
@@ -101,18 +101,9 @@ def replay(log: RuleLog, graph: Graph) -> Graph:
 
 # -- the four rules ----------------------------------------------------------
 #
-# The edge, split and component rules take an optional scope.  None is a
-# sorted full scan (per twin class, see above).  A deque, which only the
-# driver makes, holds the items not examined yet in ascending order; the
-# rule takes each off the front as it examines it.  Either way the rule
-# fires on the first match in ascending order.  The sunflower rule has no
-# scope: lowering k reopens all of its verdicts, and nothing else raises a
-# sunflower value (see run_phase1).
-
-def _take(scope: deque) -> Iterator:
-    while scope:
-        yield scope.popleft()
-
+# Each sweep takes every verdict on the graph as given; run_phase1 gives
+# the locality facts that make this exact.  Under debug assertions each
+# sweep checks afterwards that it left nothing to fire on in its scope.
 
 def _class_edges(g: Graph) -> list[tuple[int, int]]:
     """The smallest edge of each pair of twin classes, ascending: (a, b) for
@@ -123,15 +114,32 @@ def _class_edges(g: Graph) -> list[tuple[int, int]]:
                    for u in g.neighbors(v) if u > v and twin[u] == u] + list(inside.items()))
 
 
-def rule_irrelevant_edge(inst: Instance,
-                         scope: deque[tuple[int, int]] | None = None) -> tuple[int, int] | None:
-    """Delete the smallest edge that lies in no family pattern as a subgraph."""
-    g = inst.graph
-    for e in _class_edges(g) if scope is None else _take(scope):
-        if not is_core_member_edge(g, e, inst.family):
-            g.remove_edge(*e)
-            return e
-    return None
+def rule_irrelevant_edge(inst: Instance, scope: list[tuple[int, int]] | None = None
+                         ) -> tuple[tuple[int, int], ...] | None:
+    """Delete every edge of scope, an ascending list of edges, or of the
+    graph when scope is None, that lies in no family pattern as a
+    subgraph; returns them, ascending.
+
+    A full sweep tests the smallest edge of each pair of twin classes and
+    expands only a non-core one to every edge between or inside its classes.
+    """
+    g, fam = inst.graph, inst.family
+    irrelevant = [e for e in (_class_edges(g) if scope is None else scope)
+                  if not is_core_member_edge(g, e, fam)]
+    if scope is None and irrelevant:
+        twin = g.twin_classes()
+        members: dict[int, list[int]] = {}
+        for v, rep in twin.items():
+            members.setdefault(rep, []).append(v)
+        if len(members) < len(twin):  # else every class edge is the one edge of its pair
+            irrelevant = sorted({edge_key(u, w) for x, y in irrelevant
+                                 for u in members[twin[x]] for w in members[twin[y]] if u != w})
+    for e in irrelevant:
+        g.remove_edge(*e)
+    if debug_assertions_enabled():
+        debug_check(all(is_core_member_edge(g, e, fam) for e in (g.edges() if scope is None else scope)
+                        if g.has_edge(*e)), "an irrelevant-edge sweep left a non-core edge")
+    return tuple(irrelevant) or None
 
 
 def rule_sunflower(inst: Instance) -> tuple[int, int] | None:
@@ -157,25 +165,22 @@ def rule_sunflower(inst: Instance) -> tuple[int, int] | None:
     return None
 
 
-def rule_vertex_split(inst: Instance, scope: deque[int] | None = None
-                      ) -> tuple[int, tuple[tuple[int, frozenset[int]], ...]] | None:
-    """Split the smallest vertex whose neighborhood is disconnected.
+def rule_vertex_split(inst: Instance
+                      ) -> tuple[tuple[int, tuple[tuple[int, frozenset[int]], ...]], ...] | None:
+    """Split every vertex whose neighborhood is disconnected, ascending.
 
     One fresh vertex per neighborhood component, adjacent exactly to that
     component; fresh ids are handed out in component order (component with
-    the smallest member first).  Returns the split vertex and its provenance,
-    one (new id, component it serves) pair per fresh vertex: the data of
-    the vertex_split event that replay re-applies.
+    the smallest member first).  Returns one (v, pieces) per split vertex:
+    v and its provenance, one (new id, component it serves) pair per fresh
+    vertex, the data of the vertex_split event that replay re-applies.
     """
     g = inst.graph
-    if scope is None:
-        # a twin t of v sees every other neighbour of v, so N(v) is connected
-        twin = g.twin_classes()
-        shared = {rep for v, rep in twin.items() if v != rep}
-        candidates = [v for v, rep in twin.items() if v == rep and v not in shared]
-    else:
-        candidates = _take(scope)
-    for v in candidates:
+    # a twin t of v sees every other neighbour of v, so N(v) is connected
+    twin = g.twin_classes()
+    shared = {rep for v, rep in twin.items() if v != rep}
+    splits = []
+    for v in [v for v, rep in twin.items() if v == rep and v not in shared]:
         # fewer than two neighbours make a connected neighbourhood, no walk needed
         if g.degree(v) < 2 or len(components := g.neighborhood_components(v)) < 2:
             continue
@@ -186,20 +191,26 @@ def rule_vertex_split(inst: Instance, scope: deque[int] | None = None
                 g.add_edge(new_id, u)
             pieces.append((new_id, frozenset(component)))
         g.remove_vertex(v)
-        return v, tuple(pieces)
-    return None
+        splits.append((v, tuple(pieces)))
+    if debug_assertions_enabled():
+        debug_check(all(len(g.connected_components(g.neighbors(v))) < 2 for v in g.vertices),
+                    "a vertex-split sweep left a disconnected neighbourhood")
+    return tuple(splits) or None
 
 
-def rule_irrelevant_component(inst: Instance,
-                              scope: deque[set[int]] | None = None) -> frozenset[int] | None:
-    """Delete the first component that is family-free, by smallest member;
-    a scope holds whole components, in that order."""
-    g = inst.graph
-    for component in g.connected_components() if scope is None else _take(scope):
-        if is_family_free(g, inst.family, component):
-            g.remove_vertices(component)
-            return frozenset(component)
-    return None
+def rule_irrelevant_component(inst: Instance) -> tuple[frozenset[int], ...] | None:
+    """Delete every component that is family-free, by smallest member.
+
+    Every component is decided before any is deleted, so each test reads
+    the centre vertices kept for the graph as given (is_family_free).
+    """
+    g, fam = inst.graph, inst.family
+    free = tuple(frozenset(c) for c in g.connected_components() if is_family_free(g, fam, c))
+    g.remove_vertices(set().union(*free))
+    if debug_assertions_enabled():
+        debug_check(not any(is_family_free(g, fam, c) for c in g.connected_components()),
+                    "an irrelevant-component sweep left a family-free component")
+    return free or None
 
 
 def rules() -> tuple[tuple[str, Callable[..., object]], ...]:
@@ -226,27 +237,6 @@ def _edges_near(g: Graph, u: int, v: int) -> set[tuple[int, int]]:
     return near
 
 
-def _exhaust(inst: Instance, log: RuleLog, name: str, scope: deque | None,
-             rest: Callable[[object], Iterable]) -> object:
-    """Call the rule name until it returns None or its scope is empty;
-    returns the data of its last call.  After a firing from a full scan
-    (scope None) the scope becomes deque(rest(data)), the items after the
-    one it fired on, ascending."""
-    rule = dict(rules())[name]
-    data = None
-    while scope is None or scope:
-        if debug_assertions_enabled():
-            inst.graph.validate()
-        k_before = inst.k
-        data = rule(inst) if scope is None else rule(inst, scope)
-        if data is None:
-            break
-        log.append(name, data, k_before, inst.k)
-        if scope is None:
-            scope = deque(rest(data))
-    return data
-
-
 def run_phase1(inst: Instance) -> tuple[Instance, RuleLog]:
     """Exhaustively apply the four rules; mutates and returns inst with the
     log of every firing, split provenance included.
@@ -255,13 +245,12 @@ def run_phase1(inst: Instance) -> tuple[Instance, RuleLog]:
     each firing would make: the smallest non-core edge, else the first
     sunflower edge, else the smallest vertex with a disconnected
     neighbourhood, else the first family-free component.  The driver gets
-    there without the rescans, in three stages: (1) the irrelevant-edge
-    rule until quiet, then one sunflower call, and after a sunflower
-    firing the edge rule on the edges near the deleted one, and so on
-    until the sunflower rule is quiet; (2) vertex splits until quiet;
-    (3) irrelevant components until quiet.  These locality facts show
-    that no stage reopens an earlier one and that a rule need not look
-    back at the items it has passed:
+    there without the rescans, in three stages: (1) an irrelevant-edge
+    sweep, then one sunflower call, and after a sunflower firing a sweep
+    of the edges near the deleted one, and so on until the sunflower rule
+    is quiet; (2) one vertex-split sweep; (3) one irrelevant-component
+    sweep.  These locality facts show that no stage reopens an earlier one
+    and that a sweep may take every verdict on the graph it is given:
 
     - An irrelevant edge lies in no pattern, so deleting it changes no other
       edge's core membership.  It raises no sunflower value either: an edge
@@ -277,29 +266,33 @@ def run_phase1(inst: Instance) -> tuple[Instance, RuleLog]:
       sunflower values carry over, the copies' edges inheriting those of
       the edges they replace.  Removing a component changes nothing
       outside it.
-
-    Within a stage only its rules change the graph.  A rule removes only
-    the item it fired on, already taken off its deque, and a sunflower
-    firing replaces the edge deque, so no deque holds a removed item.  If
-    one did, the rule would raise (is_core_member_edge ValueError,
-    neighbors UnknownVertexError), not skip it.
     """
     inst.family.require_kernelizable()
     log = RuleLog()
     g = inst.graph
-    edges_in = g.m if debug_assertions_enabled() else None
+    debug = debug_assertions_enabled()
+    edges_in = g.m if debug else None
+    rule = dict(rules())
+
+    def sweep(name: str, *scope: list) -> None:
+        if debug:
+            g.validate()
+        for data in rule[name](inst, *scope) or ():
+            log.append(name, data, inst.k, inst.k)
+
     edges = None
     while True:
-        _exhaust(inst, log, "irrelevant_edge", edges, lambda e: (f for f in g.edges() if f > e))
-        # at most one sunflower firing per turn: its rest is empty
-        fired = _exhaust(inst, log, "sunflower", None, lambda e: ())
+        sweep("irrelevant_edge", edges)
+        k_before = inst.k
+        fired = rule["sunflower"](inst)
         if fired is None:
             break
-        edges = deque(sorted(_edges_near(g, *fired)))
-    _exhaust(inst, log, "vertex_split", None, lambda data: (v for v in g.vertices if v > data[0]))
-    _exhaust(inst, log, "irrelevant_component", None,
-             lambda data: (c for c in g.connected_components() if min(c) > min(data)))
-    if edges_in is not None:
+        log.append("sunflower", fired, k_before, inst.k)
+        edges = sorted(_edges_near(g, *fired))
+    sweep("vertex_split")
+    sweep("irrelevant_component")
+    if debug:
+        g.validate()
         debug_check(g.m <= edges_in, "phase 1 increased the edge count")
     return inst, log
 

@@ -40,9 +40,11 @@ def oracle_feasible(g, fam, k):
 # -- individual rules ------------------------------------------------------------
 
 def test_irrelevant_edge_on_path():
+    # one sweep deletes every edge: a path has no edge in a pattern
     inst = Instance(path_graph(3), 1, DIAMOND)
-    assert rule_irrelevant_edge(inst) == (0, 1)
-    assert not inst.graph.has_edge(0, 1)
+    assert rule_irrelevant_edge(inst) == ((0, 1), (1, 2))
+    assert inst.graph.m == 0 and inst.graph.n == 3
+    assert rule_irrelevant_edge(inst) is None
 
 
 def test_irrelevant_edge_untouched_diamond():
@@ -55,7 +57,9 @@ def test_irrelevant_edge_k4_pendant():
     g.add_vertex_with_id(4)
     g.add_edge(3, 4)
     inst = Instance(g, 1, DIAMOND)
-    assert rule_irrelevant_edge(inst) == (3, 4)
+    assert rule_irrelevant_edge(inst) == ((3, 4),)
+    assert inst.graph.m == 6 and inst.graph.degree(4) == 0
+    assert rule_irrelevant_edge(inst) is None
 
 
 def sunflower_gadget():
@@ -108,16 +112,16 @@ def test_sunflower_at_zero_budget_marks_decided_no():
 def test_vertex_split_bowtie():
     g = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
     inst = Instance(g, 1, DIAMOND)
-    v, pieces = rule_vertex_split(inst)
-    assert v == 0
+    assert rule_vertex_split(inst) == ((0, ((5, frozenset({1, 2})), (6, frozenset({3, 4})))),)
     assert inst.graph.connected_components() == [{1, 2, 5}, {3, 4, 6}]
-    assert pieces == ((5, frozenset({1, 2})), (6, frozenset({3, 4})))
+    assert rule_vertex_split(inst) is None
 
 
 def test_vertex_split_star_center():
     g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     inst = Instance(g, 1, DIAMOND)
-    assert rule_vertex_split(inst)[0] == 0
+    assert rule_vertex_split(inst) == (
+        (0, ((4, frozenset({1})), (5, frozenset({2})), (6, frozenset({3})))),)
     assert inst.graph.m == 3 and len(inst.graph.connected_components()) == 3
 
 
@@ -128,25 +132,34 @@ def test_vertex_split_none_on_diamond():
 def test_vertex_split_sibling_distance():
     g = Graph.from_edges(7, [(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4), (1, 5), (3, 6)])
     inst = Instance(g, 1, DIAMOND)
-    _, pieces = rule_vertex_split(inst)
-    siblings = [new for new, _ in pieces]
+    # 0 first; 1 and 3 then see 0's copies, one of which joins each triangle
+    splits = rule_vertex_split(inst)
+    assert splits == ((0, ((7, frozenset({1, 2})), (8, frozenset({3, 4})))),
+                      (1, ((9, frozenset({2, 7})), (10, frozenset({5})))),
+                      (3, ((11, frozenset({4, 8})), (12, frozenset({6})))))
     g = inst.graph
-    for a, b in combinations(siblings, 2):
-        # distance >= 4: no path of one, two or three edges joins a and b
-        assert not g.has_edge(a, b)
-        assert not g.neighbors(a) & g.neighbors(b)
-        assert not any(g.has_edge(x, y) for x in g.neighbors(a) for y in g.neighbors(b))
+    for _, pieces in splits:
+        for (a, _), (b, _) in combinations(pieces, 2):
+            # distance >= 4: no path of one, two or three edges joins a and b
+            assert not g.has_edge(a, b)
+            assert not g.neighbors(a) & g.neighbors(b)
+            assert not any(g.has_edge(x, y) for x in g.neighbors(a) for y in g.neighbors(b))
 
 
 def test_irrelevant_component_cases():
     tri_dia = Graph.from_edges(7, [(0, 1), (0, 2), (1, 2),
                                    (3, 4), (3, 5), (4, 5), (4, 6), (5, 6)])
     inst = Instance(tri_dia, 1, DIAMOND)
-    assert rule_irrelevant_component(inst) == {0, 1, 2}
+    assert rule_irrelevant_component(inst) == ({0, 1, 2},)
+    assert inst.graph.vertices == [3, 4, 5, 6]
     assert rule_irrelevant_component(Instance(diamond_graph(), 1, DIAMOND)) is None
-    k4_dia = Graph.from_edges(8, list(combinations(range(4), 2))
-                              + [(4, 5), (4, 6), (5, 6), (5, 7), (6, 7)])
-    assert rule_irrelevant_component(Instance(k4_dia, 1, DIAMOND)) == {0, 1, 2, 3}
+    # a K4 (free of induced diamonds), a diamond, an edge and an isolated vertex
+    k4_dia = Graph.from_edges(11, list(combinations(range(4), 2))
+                              + [(4, 5), (4, 6), (5, 6), (5, 7), (6, 7), (8, 9)])
+    inst = Instance(k4_dia, 1, DIAMOND)
+    assert rule_irrelevant_component(inst) == ({0, 1, 2, 3}, {8, 9}, {10})
+    assert inst.graph.vertices == [4, 5, 6, 7] and inst.graph.m == 5
+    assert rule_irrelevant_component(inst) is None
 
 
 # -- the driver --------------------------------------------------------------------
@@ -244,14 +257,57 @@ def test_vertex_split_monotone_progress(inst):
         assert disconnected_count(inst.graph) < before
 
 
-# -- the worklist driver against the restart-from-top loop -----------------------
+# -- the sweep driver against the restart-from-top loop --------------------------
+#
+# Test-local references that fire once, on the first item of a scan over
+# every edge, vertex or component.
+
+def irrelevant_edge_per_edge(inst):
+    g = inst.graph
+    e = next((e for e in g.edges() if not is_core_member_edge(g, e, inst.family)), None)
+    if e is not None:
+        g.remove_edge(*e)
+    return e
+
+
+def split_vertex_per_vertex(inst):
+    g = inst.graph
+    v = next((v for v in g.vertices if len(g.neighborhood_components(v)) > 1), None)
+    if v is None:
+        return None
+    pieces = []
+    for component in g.neighborhood_components(v):
+        new_id = g.add_vertex()
+        for u in component:
+            g.add_edge(new_id, u)
+        pieces.append((new_id, frozenset(component)))
+    g.remove_vertex(v)
+    return v, tuple(pieces)
+
+
+def irrelevant_component_per_component(inst):
+    # each component tested on a graph of its own, which keeps no centres
+    g = inst.graph
+    c = next((c for c in g.connected_components()
+              if is_family_free(g.induced_subgraph(c), inst.family)), None)
+    if c is not None:
+        g.remove_vertices(c)
+    return None if c is None else frozenset(c)
+
+
+PER_ITEM_RULES = (("irrelevant_edge", irrelevant_edge_per_edge),
+                  ("sunflower", rule_sunflower),
+                  ("vertex_split", split_vertex_per_vertex),
+                  ("irrelevant_component", irrelevant_component_per_component))
+
 
 def restart_from_top(inst):
-    """Reference driver: after every firing, scan all rules again from the top."""
+    """Reference driver: after every firing, scan all rules again from the
+    top, each through its per-item reference."""
     log = RuleLog()
     while True:
         k_before = inst.k
-        for name, rule in rules():
+        for name, rule in PER_ITEM_RULES:
             data = rule(inst)
             if data is not None:
                 log.append(name, data, k_before, inst.k)
@@ -327,13 +383,13 @@ def test_worklist_driver_matches_after_k_drops(monkeypatch):
     chain = gen_planted_yes(clique_layout([6] * 40, "chain"), 2, 1)
     assert chain.graph.n == 201
     assert_same_as_restart_from_top(chain.copy())
-    # a rule called on an empty scope would add one call to these
+    # one sweep per stage, and one edge sweep after each sunflower firing
     assert rule_calls_and_firings(monkeypatch, Instance(gen_gnp(30, 0.2, 1), 1, DIAMOND)) == {
-        "irrelevant_edge": (35, 32), "sunflower": (3, 2),
-        "vertex_split": (6, 5), "irrelevant_component": (9, 9)}
+        "irrelevant_edge": (3, 32), "sunflower": (3, 2),
+        "vertex_split": (1, 5), "irrelevant_component": (1, 9)}
     assert rule_calls_and_firings(monkeypatch, chain) == {
-        "irrelevant_edge": (3, 2), "sunflower": (1, 0),
-        "vertex_split": (40, 39), "irrelevant_component": (40, 40)}
+        "irrelevant_edge": (1, 2), "sunflower": (1, 0),
+        "vertex_split": (1, 39), "irrelevant_component": (1, 40)}
 
 
 def sunflower_by_full_scan(inst):
@@ -407,6 +463,26 @@ def test_component_rule_reads_the_centres_the_sunflower_rule_kept(monkeypatch):
     assert len(log) == 0 and len(calls) == 12
 
 
+def test_component_sweep_decides_every_component_on_the_kept_centres(monkeypatch):
+    # apex gadgets on ids 8 and up, a K4 on 0-3 and a path 4-5-6-7: the
+    # sunflower rule tests one class of the K4 and twelve of the gadgets;
+    # the component sweep then decides the K4, the path's four isolated
+    # vertices and the gadgets on those kept centres, before deleting any
+    checks.set_debug_assertions(False)
+    calls = []
+    real = patterns._clusters_neighbourhood
+    monkeypatch.setattr(patterns, "_clusters_neighbourhood",
+                        lambda g, x, twin_key: calls.append(x) or real(g, x, twin_key))
+    gadgets, _ = apex_gadgets(3, 16)
+    g = Graph.from_vertices_and_edges(
+        range(8 + gadgets.n),
+        [(u + 8, v + 8) for u, v in gadgets.edges()]
+        + list(combinations(range(4), 2)) + [(4, 5), (5, 6), (6, 7)])
+    _, log = run_phase1(Instance(g, 3, DIAMOND))
+    assert log.counts() == {"irrelevant_edge": 3, "irrelevant_component": 5}
+    assert len(calls) == 13
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(phase1_inputs(),
                  st.builds(lambda g, fam: Instance(g, 0, fam), blow_ups(),
@@ -436,43 +512,42 @@ def test_phase1_work_grows_linearly_on_clique_chains(monkeypatch):
 
 
 def test_phase1_queues_each_scope_once_on_clique_chains(monkeypatch):
+    # the items handed to the edge rule: every edge for a full sweep (scope
+    # None), the listed edges otherwise
     items = []
-    real = phase1.deque
-    monkeypatch.setattr(phase1, "deque", lambda it: (lambda d: items.append(len(d)) or d)(real(it)))
+    real = phase1.rule_irrelevant_edge
+
+    def counted(inst, scope=None):
+        items.append(inst.graph.m if scope is None else len(scope))
+        return real(inst, scope)
+
+    monkeypatch.setattr(phase1, "rule_irrelevant_edge", counted)
     counts = {}
     for n in (201, 401, 801):
         inst = gen_planted_yes(clique_layout([6] * ((n - 1) // 5), "chain"), n // 100, 1)
         items.clear()
         run_phase1(inst)
         counts[n] = sum(items)
-        assert counts[n] <= 6 * n
+        assert 0 < counts[n] <= 6 * n
     assert counts[401] <= 2.5 * counts[201] and counts[801] <= 2.5 * counts[401]
 
 
-# -- full scans decide once per class of true twins ----------------------------------
-
-def irrelevant_edge_per_edge(inst):
-    g = inst.graph
-    return next((e for e in g.edges() if not is_core_member_edge(g, e, inst.family)), None)
-
-
-def split_vertex_per_vertex(inst):
-    g = inst.graph
-    return next((v for v in g.vertices if len(g.neighborhood_components(v)) > 1), None)
-
+# -- full sweeps decide once per class of true twins ---------------------------------
 
 @settings(max_examples=200, deadline=None)
 @given(blow_ups(), st.sampled_from([DIAMOND, FamilySpec.diamond_kt(4)]))
 def test_class_shared_full_scans_fire_like_per_item_scans(g, fam):
-    # each rule to its own fixpoint by full scans, each firing checked
-    inst = Instance(g.copy(), 0, fam)
-    while (expected := irrelevant_edge_per_edge(inst)) is not None:
-        assert rule_irrelevant_edge(inst) == expected
-    assert rule_irrelevant_edge(inst) is None
-    inst = Instance(g.copy(), 0, fam)
-    while (expected := split_vertex_per_vertex(inst)) is not None:
-        assert rule_vertex_split(inst)[0] == expected
-    assert rule_vertex_split(inst) is None
+    # one sweep makes every firing of its per-item reference run to that
+    # reference's own fixpoint, in the same order, and leaves the same graph
+    for sweep, per_item in ((rule_irrelevant_edge, irrelevant_edge_per_edge),
+                            (rule_vertex_split, split_vertex_per_vertex),
+                            (rule_irrelevant_component, irrelevant_component_per_component)):
+        expected = Instance(g.copy(), 0, fam)
+        firings = tuple(iter(lambda: per_item(expected), None))
+        inst = Instance(g.copy(), 0, fam)
+        assert sweep(inst) == (firings or None)
+        assert inst.graph == expected.graph
+        assert sweep(inst) is None
 
 
 def test_full_split_scan_walks_only_singleton_twin_classes(monkeypatch):
