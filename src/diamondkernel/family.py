@@ -41,6 +41,11 @@ class FamilySpec:
     def s_diamond(cls, s: int) -> "FamilySpec":
         return cls(sdiamond=s)
 
+    @property
+    def smallest_pattern(self) -> int:
+        """The vertex count of the family's smallest pattern: s + 3 or t."""
+        return min(t for t in (self.sdiamond and self.sdiamond + 3, self.clique) if t)
+
     def kernelizable(self) -> bool:
         """True for the two families the kernelizers support."""
         return self.sdiamond == 1 and (self.clique is None or self.clique >= 4)

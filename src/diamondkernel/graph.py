@@ -71,7 +71,7 @@ class Graph:
         self._memo.clear()
         return v
 
-    # Per-item calls check their vertices inline, before changing anything.
+    # Mutations check their vertices first; a bulk removal of nothing keeps the memo.
     def add_edge(self, u: int, v: int) -> None:
         if u == v:
             raise ValueError(f"self-loop {u}")
@@ -89,21 +89,30 @@ class Graph:
             raise UnknownVertexError(v if u in adj else u)
         adj[u].discard(v)
         adj[v].discard(u)
-        if self._memo:
-            self._memo.clear()
+        self._memo.clear()
 
     def remove_vertex(self, v: int) -> None:
-        adj = self._adj
-        if v not in adj:
-            raise UnknownVertexError(v)
-        for u in adj.pop(v):
+        self.remove_vertices((v,))
+
+    def remove_edges(self, edges: Iterable[tuple[int, int]]) -> None:
+        adj, edges = self._adj, list(edges)
+        if unknown := set().union(*edges) - adj.keys():
+            raise UnknownVertexError(min(unknown))
+        for u, v in edges:
             adj[u].discard(v)
-        if self._memo:
+            adj[v].discard(u)
+        if edges and self._memo:
             self._memo.clear()
 
     def remove_vertices(self, vs: Iterable[int]) -> None:
-        for v in sorted(vs):
-            self.remove_vertex(v)
+        adj, gone = self._adj, set(vs)
+        if unknown := gone - adj.keys():
+            raise UnknownVertexError(min(unknown))
+        for v in gone:
+            for u in adj.pop(v) - gone:
+                adj[u].discard(v)
+        if gone and self._memo:
+            self._memo.clear()
 
     # -- queries -----------------------------------------------------------
 
@@ -204,8 +213,9 @@ class Graph:
         unseen = set(self._adj if within is None else within)
         components = []
         for start in sorted(unseen):
-            if start in unseen:
-                components.append(self.component(start, unseen))
+            if start in unseen:   # an isolated vertex needs no walk; the walk refuses an unknown one
+                components.append(self.component(start, unseen) if self._adj.get(start, True)
+                                  else {start})
         return components
 
     def component(self, v: int, within: set[int]) -> set[int]:

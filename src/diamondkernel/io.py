@@ -8,9 +8,9 @@ DIMACS-flavored, UTF-8, lines ended by LF alone (CRLF works too):
 
 n, m, k and the endpoints are ASCII decimal integers; a leading "-" is read
 and then refused.  Vertex ids are 0-based and must be smaller than n; m must
-match the number of edge lines, and n may not exceed MAX_VERTICES.  The
-family token is a comma-separated list of items: "diamond", "<s>-diamond",
-or "k<t>" (e.g. "diamond,k4").
+match the number of edge lines; n and m may not exceed MAX_VERTICES and
+MAX_EDGES.  The family token is a comma-separated list of items: "diamond",
+"<s>-diamond", or "k<t>" (e.g. "diamond,k4").
 
 A file in the canonical form that serialize_instance writes (the header on
 line 1, then "e <u> <v>" lines with single spaces, every line ended by LF)
@@ -30,7 +30,9 @@ from .phase1 import Instance
 
 # The graph holds one adjacency set per vertex named in the header, about
 # 250 bytes each before any edge is read, so the header's n is capped.
+# Kernelizing peaks at about 630 bytes per edge, so m is capped too.
 MAX_VERTICES = 1_000_000
+MAX_EDGES = 2_000_000
 
 _CANONICAL_HEADER = re.compile(r"p dfed ([0-9]+) ([0-9]+) ([0-9]+) ([0-9a-z,-]+)")
 _CANONICAL_EDGES = re.compile(r"(?:e [0-9]+ [0-9]+\n)*")
@@ -65,7 +67,7 @@ def _parse_canonical(text: str) -> Instance | None:
         family = FamilySpec.parse_token(header[4])
     except (ValueError, FamilyError):   # int() refuses over 4,300 digits
         return None
-    if n > MAX_VERTICES or text.count("\n", head_end + 1) != m:
+    if n > MAX_VERTICES or m > MAX_EDGES or text.count("\n", head_end + 1) != m:
         return None
     adj: list[set[int]] = [set() for _ in range(n)]
     start = head_end + 1
@@ -112,6 +114,8 @@ def _parse_lines(text: str) -> Instance:
                 raise ParseError("n, m, k must be non-negative", lineno)
             if n > MAX_VERTICES:
                 raise ParseError(f"n = {n} exceeds the limit of {MAX_VERTICES} vertices", lineno)
+            if m > MAX_EDGES:
+                raise ParseError(f"m = {m} exceeds the limit of {MAX_EDGES} edges", lineno)
             try:
                 family = FamilySpec.parse_token(fields[5])
             except FamilyError as exc:

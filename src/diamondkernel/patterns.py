@@ -73,7 +73,6 @@ from collections import Counter
 from copy import copy
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import inf
 from operator import attrgetter
 from typing import Iterator
 
@@ -223,9 +222,8 @@ def centre_edges(g: Graph) -> list[tuple[int, int]]:
 def is_family_free(g: Graph, fam: FamilySpec, within: set[int] | None = None) -> bool:
     """True iff g, or g[within] for a union within of components of g, has
     no induced occurrence of fam; tested in place (see the module docstring).
-    Fewer vertices than fam's smallest pattern, s + 3 or t, decide it at once."""
-    smallest = min(fam.clique or inf, (fam.sdiamond or inf) + 3)
-    if (g.n if within is None else len(within)) < smallest:
+    Fewer vertices than fam.smallest_pattern decide it at once."""
+    if (g.n if within is None else len(within)) < fam.smallest_pattern:
         return True
     if fam.sdiamond is not None:
         vertices = g.vertex_set() if within is None else within
@@ -388,7 +386,13 @@ class OccurrenceIndex:
 # -- core membership (not-necessarily-induced containment) ------------------
 
 def is_core_member_edge(g: Graph, e: tuple[int, int], fam: FamilySpec) -> bool:
-    """True iff e lies in a diamond subgraph (or a K_t when the family has one).
+    """True iff e lies in a diamond subgraph (or a K_t when the family has one)."""
+    return not non_core_edges(g, (e,), fam)
+
+
+def non_core_edges(g: Graph, edges, fam: FamilySpec) -> list[tuple[int, int]]:
+    """The edges of edges, in their order, that lie in no diamond subgraph
+    (nor in a K_t when the family has one): one call for a whole sweep.
 
     A 4-vertex span with at least 5 edges is a diamond or a K4, and either
     way every one of its edges lies in a diamond subgraph, so the diamond
@@ -404,19 +408,22 @@ def is_core_member_edge(g: Graph, e: tuple[int, int], fam: FamilySpec) -> bool:
     if fam.sdiamond != 1:
         raise FamilyError(
             f"core membership is implemented for the plain diamond families, got {fam.token()}")
-    x, y = e
-    if not g.has_edge(x, y):
-        raise ValueError(f"edge {e} not in graph")
-    nx, ny = g.neighbors(x), g.neighbors(y)
-    common = nx & ny
-    if len(common) >= 2:
-        return True
-    if common:
-        (a,) = common
-        if not g.neighbors(a).isdisjoint((nx | ny) - {x, y, a}):
-            return True
-    # a K_t through xy has its other t - 2 vertices in C
-    return fam.clique is not None and len(common) >= fam.clique - 2
+    triangles = fam.clique == 3
+    neighbors, out = g.neighbors, []
+    for e in edges:
+        x, y = e
+        nx, ny = neighbors(x), neighbors(y)
+        if y not in nx:
+            raise ValueError(f"edge {e} not in graph")
+        common = nx & ny
+        if len(common) == 1 and not triangles:
+            (a,) = common
+            core = not neighbors(a).isdisjoint((nx | ny) - {x, y, a})
+        else:   # a K_3 through xy needs one common neighbour
+            core = bool(common)
+        if not core:
+            out.append(e)
+    return out
 
 
 # -- greedy edge-disjoint packing -------------------------------------------

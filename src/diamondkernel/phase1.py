@@ -28,7 +28,7 @@ from .checks import debug_assertions_enabled, debug_check
 from .family import FamilySpec
 from .graph import Graph, edge_key
 from .matching import maximum_non_matching_size
-from .patterns import centre_edges, is_core_member_edge, is_family_free
+from .patterns import centre_edges, is_core_member_edge, is_family_free, non_core_edges
 
 
 @dataclass
@@ -50,9 +50,9 @@ class Instance:
 
 
 class RuleEvent(NamedTuple):
-    """One firing.  data is what the rule returned for it: the deleted
-    edge (irrelevant_edge, sunflower), (v, pieces) (vertex_split), or the
-    deleted vertex set (irrelevant_component)."""
+    """One firing, as RuleLog.events builds it.  data is what the rule
+    returned for it: the deleted edge (irrelevant_edge, sunflower), (v,
+    pieces) (vertex_split), or the deleted vertex set (irrelevant_component)."""
 
     rule: str
     data: object
@@ -62,40 +62,53 @@ class RuleEvent(NamedTuple):
 
 @dataclass
 class RuleLog:
-    events: list[RuleEvent] = field(default_factory=list)
+    """Every firing in order, as one record per sweep that fired: (rule, the
+    data of its firings, k before, k after), each firing taking k from k
+    before to k after.  events builds a RuleEvent per firing when read."""
+
+    records: list[tuple[str, tuple, int, int]] = field(default_factory=list)
+
+    def extend(self, rule: str, firings: tuple | None, k_before: int, k_after: int) -> None:
+        if firings:
+            self.records.append((rule, tuple(firings), k_before, k_after))
 
     def append(self, rule: str, data: object, k_before: int, k_after: int) -> None:
-        self.events.append(RuleEvent(rule, data, k_before, k_after))
+        self.extend(rule, (data,), k_before, k_after)
+
+    @property
+    def events(self) -> list[RuleEvent]:
+        return [RuleEvent(rule, data, k_before, k_after)
+                for rule, firings, k_before, k_after in self.records for data in firings]
 
     def counts(self) -> dict[str, int]:
         out: dict[str, int] = {}
-        for ev in self.events:
-            out[ev.rule] = out.get(ev.rule, 0) + 1
+        for rule, firings, _, _ in self.records:
+            out[rule] = out.get(rule, 0) + len(firings)
         return out
 
     def __len__(self) -> int:
-        return len(self.events)
+        return sum(len(firings) for _, firings, _, _ in self.records)
 
 
 def replay(log: RuleLog, graph: Graph) -> Graph:
     """Re-apply a rule log to a copy of the input graph it was recorded on."""
     g = graph.copy()
-    for ev in log.events:
-        if ev.rule == "irrelevant_edge" or ev.rule == "sunflower":
-            g.remove_edge(*ev.data)
-        elif ev.rule == "vertex_split":
-            v, pieces = ev.data
-            for new_id, component in pieces:
-                made = g.add_vertex()
-                if made != new_id:
-                    raise ValueError(f"replay drift: expected id {new_id}, got {made}")
-                for u in component:
-                    g.add_edge(new_id, u)
-            g.remove_vertex(v)
-        elif ev.rule == "irrelevant_component":
-            g.remove_vertices(ev.data)
+    for rule, firings, _, _ in log.records:
+        if rule == "irrelevant_edge" or rule == "sunflower":
+            g.remove_edges(firings)
+        elif rule == "vertex_split":
+            for v, pieces in firings:
+                for new_id, component in pieces:
+                    made = g.add_vertex()
+                    if made != new_id:
+                        raise ValueError(f"replay drift: expected id {new_id}, got {made}")
+                    for u in component:
+                        g.add_edge(new_id, u)
+                g.remove_vertex(v)
+        elif rule == "irrelevant_component":
+            g.remove_vertices(set().union(*firings))
         else:
-            raise ValueError(f"unknown rule {ev.rule}")
+            raise ValueError(f"unknown rule {rule}")
     return g
 
 
@@ -124,8 +137,7 @@ def rule_irrelevant_edge(inst: Instance, scope: list[tuple[int, int]] | None = N
     expands only a non-core one to every edge between or inside its classes.
     """
     g, fam = inst.graph, inst.family
-    irrelevant = [e for e in (_class_edges(g) if scope is None else scope)
-                  if not is_core_member_edge(g, e, fam)]
+    irrelevant = non_core_edges(g, _class_edges(g) if scope is None else scope, fam)
     if scope is None and irrelevant:
         twin = g.twin_classes()
         members: dict[int, list[int]] = {}
@@ -134,11 +146,10 @@ def rule_irrelevant_edge(inst: Instance, scope: list[tuple[int, int]] | None = N
         if len(members) < len(twin):  # else every class edge is the one edge of its pair
             irrelevant = sorted({edge_key(u, w) for x, y in irrelevant
                                  for u in members[twin[x]] for w in members[twin[y]] if u != w})
-    for e in irrelevant:
-        g.remove_edge(*e)
+    g.remove_edges(irrelevant)
     if debug_assertions_enabled():
-        debug_check(all(is_core_member_edge(g, e, fam) for e in (g.edges() if scope is None else scope)
-                        if g.has_edge(*e)), "an irrelevant-edge sweep left a non-core edge")
+        debug_check(not _left_to_fire(g, fam, [e for e in scope or g.edges() if g.has_edge(*e)]),
+                    "an irrelevant-edge sweep left a non-core edge")
     return tuple(irrelevant) or None
 
 
@@ -193,7 +204,7 @@ def rule_vertex_split(inst: Instance
         g.remove_vertex(v)
         splits.append((v, tuple(pieces)))
     if debug_assertions_enabled():
-        debug_check(all(len(g.connected_components(g.neighbors(v))) < 2 for v in g.vertices),
+        debug_check(not _left_to_fire(g, inst.family, vertices=g.vertices),
                     "a vertex-split sweep left a disconnected neighbourhood")
     return tuple(splits) or None
 
@@ -204,11 +215,12 @@ def rule_irrelevant_component(inst: Instance) -> tuple[frozenset[int], ...] | No
     Every component is decided before any is deleted, so each test reads
     the centre vertices kept for the graph as given (is_family_free).
     """
-    g, fam = inst.graph, inst.family
-    free = tuple(frozenset(c) for c in g.connected_components() if is_family_free(g, fam, c))
+    g, fam, smallest = inst.graph, inst.family, inst.family.smallest_pattern
+    free = tuple(frozenset(c) for c in g.connected_components()
+                 if len(c) < smallest or is_family_free(g, fam, c))
     g.remove_vertices(set().union(*free))
     if debug_assertions_enabled():
-        debug_check(not any(is_family_free(g, fam, c) for c in g.connected_components()),
+        debug_check(not _left_to_fire(g, fam, components=True),
                     "an irrelevant-component sweep left a family-free component")
     return free or None
 
@@ -277,8 +289,7 @@ def run_phase1(inst: Instance) -> tuple[Instance, RuleLog]:
     def sweep(name: str, *scope: list) -> None:
         if debug:
             g.validate()
-        for data in rule[name](inst, *scope) or ():
-            log.append(name, data, inst.k, inst.k)
+        log.extend(name, rule[name](inst, *scope), inst.k, inst.k)
 
     edges = None
     while True:
@@ -297,18 +308,21 @@ def run_phase1(inst: Instance) -> tuple[Instance, RuleLog]:
     return inst, log
 
 
-def phase1_fixpoint_properties(inst: Instance) -> list[str]:
-    """Violations of the fixpoint guarantees; empty when inst is a fixpoint.
-
-    At a fixpoint every edge and vertex is a core member and every vertex
-    has a connected neighborhood.
-    """
-    problems = []
-    g = inst.graph
-    for e in g.edges():
-        if not is_core_member_edge(g, e, inst.family):
-            problems.append(f"edge {e} is not a core member")
-    for v in g.vertices:
-        if len(g.neighborhood_components(v)) > 1:
-            problems.append(f"vertex {v} has a disconnected neighborhood")
+def _left_to_fire(g: Graph, fam: FamilySpec, edges=(), vertices=(), components=False) -> list:
+    """What would still fire: the non-core edges of edges, the vertices of
+    vertices with a disconnected neighbourhood, and the family-free components."""
+    problems = [f"edge {e} is not a core member" for e in edges
+                if not is_core_member_edge(g, e, fam)]
+    problems += [f"vertex {v} has a disconnected neighborhood" for v in vertices
+                 if len(g.connected_components(g.neighbors(v))) > 1]
+    if components:
+        problems += [f"component {sorted(c)} is family-free" for c in g.connected_components()
+                     if is_family_free(g, fam, c)]
     return problems
+
+
+def phase1_fixpoint_properties(inst: Instance) -> list[str]:
+    """Violations of the fixpoint guarantees, empty at a fixpoint: every edge
+    is a core member, every neighbourhood connected, no component family-free."""
+    g = inst.graph
+    return _left_to_fire(g, inst.family, g.edges(), g.vertices, components=True)

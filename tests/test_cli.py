@@ -19,7 +19,7 @@ from diamondkernel.family import FamilySpec
 from diamondkernel.graph import Graph
 from diamondkernel.harness import verify_rule_safety
 from diamondkernel.instances import gen_gnp
-from diamondkernel.io import MAX_VERTICES, parse_instance, serialize_instance
+from diamondkernel.io import MAX_EDGES, MAX_VERTICES, parse_instance, serialize_instance
 from diamondkernel.phase1 import Instance
 from diamondkernel.solver import Solution, solve_branching
 
@@ -630,3 +630,20 @@ def test_report_digest_ignores_timings():
     b = {"x": 1, "timings": {"total": 99.0}}
     assert report_digest(a) == report_digest(b)
     assert report_digest(a) != report_digest({"x": 2, "timings": {}})
+
+
+def test_header_over_the_edge_cap_is_refused_on_line_1(tmp_path, capsys):
+    # both readers refuse it on the header line, before the body is read:
+    # a self-loop on line 2 is never reached
+    text = f"p dfed 2 {MAX_EDGES + 1} 0 diamond\ne 0 0\n"
+    assert instance_io._parse_canonical(text) is None
+    for read in (parse_instance, instance_io._parse_lines):
+        with pytest.raises(ParseError, match=f"exceeds the limit of {MAX_EDGES} edges") as info:
+            read(text)
+        assert info.value.line == 1
+    huge = write(tmp_path, "huge.txt", text)
+    assert main(["kernelize", "-i", huge]) == 2
+    assert "line 1: m = " in capsys.readouterr().err
+    # m at the cap passes the header check
+    with pytest.raises(ParseError, match=f"header claims {MAX_EDGES} edges, found 0"):
+        parse_instance(f"p dfed 2 {MAX_EDGES} 0 diamond\n")

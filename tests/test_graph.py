@@ -3,6 +3,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from diamondkernel import patterns
 from diamondkernel.errors import UnknownVertexError
 from diamondkernel.graph import Graph, edge_key
 
@@ -190,3 +191,61 @@ def test_complement_restricted_equals_the_pair_by_pair_build(g, vs, grow):
     comp = g.complement_restricted(vs)
     assert comp == expected and comp._next_id == expected._next_id
     comp.validate()
+
+
+# -- bulk removals ------------------------------------------------------------------
+
+def test_bulk_removals_of_nothing_keep_the_kept_centre_edges():
+    # the component and edge sweeps end with a bulk removal even when they
+    # fire nothing; clearing the memo there would make compute_modulator
+    # recompute the centre edges that phase 1 kept
+    g = diamond_graph()
+    kept = g.memo("centre_edges", patterns._kept_centres)
+    for remove_nothing in (lambda: g.remove_vertices(()), lambda: g.remove_vertices(set()),
+                           lambda: g.remove_edges(()), lambda: g.remove_edges(iter([]))):
+        remove_nothing()
+        assert g._memo["centre_edges"] is kept
+    assert g == diamond_graph()
+    g.remove_edges([(0, 1)])
+    assert g._memo == {}
+
+
+@pytest.mark.parametrize("method,args,unknown", [
+    ("remove_edges", ([(0, 1), (1, 99)],), 99), ("remove_edges", ([(98, 99), (0, 1)],), 98),
+    ("remove_vertices", ({0, 99, 98},), 98),
+])
+def test_bulk_removals_check_every_vertex_before_changing_anything(method, args, unknown):
+    g = Graph.from_edges(3, [(0, 1), (1, 2)])
+    twins = g.twin_classes()
+    with pytest.raises(UnknownVertexError) as info:
+        getattr(g, method)(*args)
+    assert info.value.vertex == unknown
+    assert g._memo == {"twin_classes": twins} and g == Graph.from_edges(3, [(0, 1), (1, 2)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_graphs(), st.data())
+def test_bulk_removals_equal_one_at_a_time(g, data):
+    vertices = data.draw(st.sets(st.sampled_from(g.vertices))) if g.vertices else set()
+    edges = data.draw(st.lists(st.sampled_from(sorted(g.edges())))) if g.m else []
+    one, bulk = g.copy(), g.copy()
+    for u, v in edges:
+        one.remove_edge(u, v)
+    for v in sorted(vertices):
+        one.remove_vertex(v)
+    bulk.remove_edges(edges)
+    bulk.remove_vertices(vertices)
+    bulk.validate()
+    assert bulk == one and bulk.vertices == sorted(set(g.vertices) - vertices)
+
+
+def test_isolated_vertices_are_components_without_a_walk(monkeypatch):
+    walks = []
+    real = Graph.component
+    monkeypatch.setattr(Graph, "component", lambda g, v, within: walks.append(v) or real(g, v, within))
+    g = Graph.from_edges(6, [(1, 2), (2, 4)])
+    assert g.connected_components() == [{0}, {1, 2, 4}, {3}, {5}]
+    assert g.connected_components({0, 3, 4}) == [{0}, {3}, {4}]
+    assert walks == [1, 4]
+    with pytest.raises(UnknownVertexError):
+        g.connected_components({0, 7})

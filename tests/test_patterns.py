@@ -12,7 +12,8 @@ from diamondkernel.patterns import (OccurrenceIndex, _clusters_neighbourhood, ce
                                     clique_partition, fewest_conflicts_packing,
                                     find_induced_occurrence, greedy_packing,
                                     is_core_member_edge, is_family_free,
-                                    iter_clique_occurrences, iter_sdiamond_occurrences)
+                                    iter_clique_occurrences, iter_sdiamond_occurrences,
+                                    non_core_edges)
 from diamondkernel.solver import _min_toggles, has_induced_pattern_naive
 from diamondkernel.instances import clique_layout, gen_hard_structure, gen_planted_yes
 
@@ -638,3 +639,27 @@ def test_partition_equals_the_edge_walk_on_twin_rich_graphs(g):
     if not is_family_free(g, DIAMOND):
         return
     assert clique_partition(g) == edge_walk_partition(g)
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_graphs(9), st.randoms(use_true_random=False))
+def test_one_call_over_many_edges_equals_edge_counting(g, rnd):
+    # the sweeps' one call per scope: every edge, in a shuffled order that
+    # the answer keeps, read on one graph state
+    edges = list(g.edges())
+    rnd.shuffle(edges)
+    for fam in (DIAMOND, FamilySpec(sdiamond=1, clique=3), FamilySpec.diamond_kt(4),
+                FamilySpec.diamond_kt(5)):
+        assert non_core_edges(g, edges, fam) == [
+            e for e in edges if not core_member_by_counting(g, e, fam)]
+
+
+def test_one_call_over_many_edges_refuses_a_non_edge():
+    g = path_graph(4)
+    with pytest.raises(ValueError, match="not in graph"):
+        non_core_edges(g, [(0, 1), (0, 2)], DIAMOND)
+    with pytest.raises(ValueError, match="not in graph"):
+        is_core_member_edge(g, (0, 3), DIAMOND)
+    with pytest.raises(FamilyError):
+        non_core_edges(g, [], FamilySpec.s_diamond(2))
+    assert non_core_edges(g, [], DIAMOND) == []

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -14,7 +15,7 @@ from diamondkernel.phase1 import (Instance, RuleEvent, RuleLog, replay, rules,
 from diamondkernel.matching import maximum_non_matching_size
 from diamondkernel.patterns import centre_edges, is_core_member_edge, is_family_free
 from diamondkernel.phase2 import kernelize
-from diamondkernel.solver import brute_force_min_deletion
+from diamondkernel.solver import brute_force_min_deletion, has_induced_pattern_naive
 
 from conftest import apex_gadgets, complete_graph, diamond_graph, path_graph
 from test_patterns import blow_ups
@@ -587,3 +588,128 @@ def test_phase1_work_on_apex_gadgets_is_per_twin_class(monkeypatch):
         # per copy: five classes (the clique, a, b, p, q), eight adjacent pairs
         assert len(log) == 0
         assert len(core) <= 10 * c and len(splits) <= 6 * c
+
+
+# -- one log record per sweep ------------------------------------------------------
+
+TWIN_RICH_CHAINS = [gen_planted_yes(clique_layout([30] * 4, "chain"), 3, seed) for seed in (1, 2, 3)]
+
+
+def test_rule_log_keeps_one_record_per_sweep():
+    # the inputs of the pinned twin-rich kernelize digests, and G(30, 0.2)
+    # where the sunflower rule fires between edge sweeps
+    inputs = [(gen_gnp(30, 0.2, seed), 1) for seed in (1, 2, 3)]
+    inputs += [(chain.graph, chain.k) for chain in TWIN_RICH_CHAINS]
+    for fam in PHASE1_FAMILIES:
+        for g, k in inputs:
+            _, expected = restart_from_top(Instance(g.copy(), k, fam))
+            _, log = run_phase1(Instance(g.copy(), k, fam))
+            assert log.events == expected.events
+            assert log.counts() == expected.counts() == dict(Counter(ev.rule for ev in log.events))
+            assert len(log) == len(expected) == len(log.events)
+            assert replay(log, g) == replay(expected, g)
+            firings = kernelize(Instance(g.copy(), k, fam)).report.rule_firings
+            assert {r: n for r, n in firings.items() if r != "clique_reduction"} == log.counts()
+            # a record per sweep that fired, each firing of a record at its k
+            assert len(log.records) < len(log.events)
+            assert all(firings and (len(firings) == 1 or k_before == k_after)
+                       for _, firings, k_before, k_after in log.records)
+    _, log = run_phase1(Instance(gen_gnp(30, 0.2, 1), 1, DIAMOND))
+    assert [(rule, len(firings), k_before, k_after)
+            for rule, firings, k_before, k_after in log.records] == [
+        ("irrelevant_edge", 29, 1, 1), ("sunflower", 1, 1, 0), ("irrelevant_edge", 1, 0, 0),
+        ("sunflower", 1, 0, -1), ("irrelevant_edge", 2, -1, -1), ("vertex_split", 5, -1, -1),
+        ("irrelevant_component", 9, -1, -1)]
+
+
+def test_a_sweep_that_fires_nothing_adds_no_record():
+    log = RuleLog()
+    log.extend("irrelevant_edge", None, 1, 1)
+    log.extend("irrelevant_component", (), 1, 1)
+    assert log.records == [] and log.events == [] and len(log) == 0 and log.counts() == {}
+    g = diamond_graph()
+    assert replay(log, g) == g
+    # phase 1 is quiet on a diamond and on a hard structure: four sweeps, no record
+    for inst in (Instance(diamond_graph(), 1, DIAMOND), gen_hard_structure(3)):
+        _, log = run_phase1(inst)
+        assert log.records == []
+
+
+def test_sweeps_that_fire_nothing_keep_the_kept_centre_edges():
+    g = diamond_graph()
+    kept = g.memo("centre_edges", patterns._kept_centres)
+    for sweep in (rule_irrelevant_edge, rule_vertex_split, rule_irrelevant_component):
+        assert sweep(Instance(g, 1, DIAMOND)) is None
+        assert g._memo["centre_edges"] is kept
+
+
+# -- the component sweep's size shortcut -------------------------------------------
+
+def connected_graphs(n):
+    """Every connected graph on vertices 0..n-1."""
+    pairs = list(combinations(range(n), 2))
+    for r in range(len(pairs) + 1):
+        for edges in combinations(pairs, r):
+            g = Graph.from_edges(n, edges)
+            if len(g.connected_components()) == 1:
+                yield g
+
+
+@pytest.mark.parametrize("fam", PHASE1_FAMILIES, ids=lambda fam: fam.token())
+def test_small_component_shortcut_agrees_with_is_family_free(fam, monkeypatch):
+    # one copy of every connected graph on 1 up to the smallest pattern's
+    # vertex count; those of that count are free or not, by the family
+    size = fam.smallest_pattern
+    assert size == 4
+    parts = [h for n in range(1, size + 1) for h in connected_graphs(n)]
+    edges, start = [], 0
+    for h in parts:
+        edges += [(u + start, v + start) for u, v in h.edges()]
+        start += h.n
+    g = Graph.from_edges(start, edges)
+    components = g.connected_components()
+    assert len(components) == len(parts)
+    free = [frozenset(c) for c in components
+            if not has_induced_pattern_naive(g.induced_subgraph(c), fam)]
+    assert {len(c) for c in free} == {1, 2, 3, 4}
+    assert any(len(c) == size for c in components if frozenset(c) not in free)
+    for c in components:
+        assert is_family_free(g, fam, c) == (frozenset(c) in free)
+        assert is_family_free(g.induced_subgraph(c), fam) == (frozenset(c) in free)
+    tested = []
+    monkeypatch.setattr(phase1, "is_family_free",
+                        lambda g, fam, c=None: tested.append(c) or is_family_free(g, fam, c))
+    inst = Instance(g, 0, fam)
+    assert rule_irrelevant_component(inst) == tuple(free)
+    assert tested and all(len(c) >= size for c in tested)
+    assert inst.graph.n == sum(len(c) for c in components if frozenset(c) not in free)
+
+
+def test_smallest_pattern_sizes():
+    assert [FamilySpec.parse_token(token).smallest_pattern
+            for token in ("diamond", "diamond,k4", "diamond,k5", "2-diamond", "k3", "diamond,k3",
+                          "3-diamond,k5")] == [4, 4, 4, 5, 3, 3, 5]
+
+
+# -- an edge sweep tests its scope in one call -------------------------------------
+
+def test_edge_sweeps_test_their_scope_in_one_call(monkeypatch):
+    checks.set_debug_assertions(False)
+    scopes = []
+    real = phase1.non_core_edges
+    monkeypatch.setattr(phase1, "non_core_edges",
+                        lambda g, edges, fam: scopes.append(len(edges)) or real(g, edges, fam))
+    for c, q in ((5, 24), (10, 48), (20, 96)):
+        g, _ = apex_gadgets(c, q)
+        scopes.clear()
+        run_phase1(Instance(g, c, DIAMOND))
+        # one full sweep: per copy five classes, eight adjacent pairs
+        assert scopes == [8 * c]
+    counts = {}
+    for n in (201, 401, 801):
+        inst = gen_planted_yes(clique_layout([6] * ((n - 1) // 5), "chain"), n // 100, 1)
+        scopes.clear()
+        run_phase1(inst)
+        counts[n] = sum(scopes)
+        assert 0 < counts[n] <= 6 * n
+    assert counts[401] <= 2.5 * counts[201] and counts[801] <= 2.5 * counts[401]
