@@ -168,19 +168,14 @@ class Graph:
 
     def memo(self, key: str, compute: Callable[["Graph"], object]) -> object:
         """compute(self), a value no caller can edit, kept until the next
-        mutation; under debug assertions a kept value is checked afresh."""
+        mutation; under debug assertions a kept value is checked afresh.
+        Keys: "twin_classes", and "centre_edges" (patterns), the one source
+        of centre vertices for the scan, the index and is_family_free."""
         if key not in self._memo:
             self._memo[key] = compute(self)
-            return self._memo[key]
-        return self.kept(key, compute)
-
-    def kept(self, key: str, compute: Callable[["Graph"], object]) -> object | None:
-        """What memo(key, compute) keeps, checked as memo checks it, or None
-        when nothing is kept; never computes a value to keep."""
-        value = self._memo.get(key)
-        if value is not None and debug_assertions_enabled():
-            debug_check(value == compute(self), f"kept {key} is stale")
-        return value
+        elif debug_assertions_enabled():
+            debug_check(self._memo[key] == compute(self), f"kept {key} is stale")
+        return self._memo[key]
 
     def twin_classes(self) -> Mapping[int, int]:
         """Each vertex, ascending, mapped to the smallest vertex with the

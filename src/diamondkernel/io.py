@@ -8,8 +8,9 @@ DIMACS-flavored, UTF-8, lines ended by LF alone (CRLF works too):
 
 n, m, k and the endpoints are ASCII decimal integers; a leading "-" is read
 and then refused.  Vertex ids are 0-based and must be smaller than n; m must
-match the number of edge lines; n and m may not exceed MAX_VERTICES and
-MAX_EDGES.  The family token is a comma-separated list of items: "diamond",
+match the number of edge lines, and the first edge line past m is refused
+without reading on; n and m may not exceed MAX_VERTICES and MAX_EDGES.
+The family token is a comma-separated list of items: "diamond",
 "<s>-diamond", or "k<t>" (e.g. "diamond,k4").
 
 A file in the canonical form that serialize_instance writes (the header on
@@ -97,6 +98,7 @@ def _parse_lines(text: str) -> Instance:
     """The line reader: any valid file, and every ParseError."""
     header = None
     adj: list[set[int]] = []   # N(v) for v in 0..n-1, filled as edges are read
+    read = 0   # edge lines so far, each a new edge
     for lineno, raw in enumerate(text.split("\n"), start=1):
         fields = raw.split()
         if not fields or fields[0] == "c":
@@ -125,6 +127,8 @@ def _parse_lines(text: str) -> Instance:
         elif fields[0] == "e":
             if header is None:
                 raise ParseError("edge line before header", lineno)
+            if read == m:
+                raise ParseError(f"header claims {m} edges, found more", lineno)
             if len(fields) != 3:
                 raise ParseError("edge line must be 'e <u> <v>'", lineno)
             try:
@@ -139,13 +143,14 @@ def _parse_lines(text: str) -> Instance:
                 raise ParseError(f"duplicate edge {min(u, v)} {max(u, v)}", lineno)
             adj[u].add(v)
             adj[v].add(u)
+            read += 1
         else:
             raise ParseError(f"unrecognized line type {fields[0]!r}", lineno)
     if header is None:
         raise ParseError("missing header line")
     m, k, family = header
-    if (found := sum(map(len, adj)) // 2) != m:
-        raise ParseError(f"header claims {m} edges, found {found}")
+    if read != m:
+        raise ParseError(f"header claims {m} edges, found {read}")
     return Instance(Graph(dict(enumerate(adj)), len(adj)), k, family)
 
 

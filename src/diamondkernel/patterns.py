@@ -43,14 +43,12 @@ centre_edges(g) are kept in g.memo, computed once per graph state: every
 mutation of g clears them.  The index's toggle and mask refreshes are local
 already and stay unfiltered, and so does iter_sdiamond_occurrences, the
 reference the tests compare with.  is_family_free tests g, or a union C
-of its components, in place, so that it costs only C: every neighbourhood
-in C lies in C, so C's centre edges and s-diamonds are those of g[C], and
-a K_t search from C stays in C.  When centre_edges(g) is kept, it reads
-the kept centre vertices inside C instead of testing them again (a
-verdict depends on G[N(v)] alone, and the twin key only deduplicates
-tests); otherwise it tests C keyed by N[v], since the twin classes are
-cleared by every mutation.  greedy_packing's debug maximality check is
-one scan.
+of its components, in place: every neighbourhood in C lies in C, so C's
+centre edges and s-diamonds are those of g[C], and a K_t search from C
+stays in C.  It reads the centre vertices inside C from the memo of
+centre_edges(g), which computes them for all of g when nothing is kept,
+so a sweep over the components of one graph state tests each twin class
+once.  greedy_packing's debug maximality check is one scan.
 
 OccurrenceIndex stores that per-edge first occurrence for every edge, so
 the minimum over its entries is the scan's answer.  Whether xy centres an
@@ -175,21 +173,6 @@ def _clusters_neighbourhood(g: Graph, x: int, twin_key) -> bool:
     return True
 
 
-def _centres(g: Graph, vertices, twin_key) -> set[int]:
-    """The vertices of degree > 2 with an unclustered neighbourhood, one
-    test per twin_key(v)."""
-    verdicts: dict[object, bool] = {}
-    centres = set()
-    for v in vertices:
-        if g.degree(v) > 2:
-            key = twin_key(v)
-            if key not in verdicts:
-                verdicts[key] = not _clusters_neighbourhood(g, v, twin_key)
-            if verdicts[key]:
-                centres.add(v)
-    return centres
-
-
 def _edges_among(g: Graph, centres: set[int] | frozenset[int], vertices) -> list[tuple[int, int]]:
     """The edges between centres, ascending: the centre edges inside
     vertices, a union of components that holds centres."""
@@ -203,9 +186,16 @@ def _edges_among(g: Graph, centres: set[int] | frozenset[int], vertices) -> list
 
 
 def _kept_centres(g: Graph) -> tuple[frozenset[int], tuple[tuple[int, int], ...]]:
-    """The centre vertices of g and the edges among them, per twin class."""
-    centres = _centres(g, g.vertex_set(), g.twin_classes().__getitem__)
-    return frozenset(centres), tuple(_edges_among(g, centres, g.vertex_set()))
+    """The centre vertices of g and the edges among them: the vertices of
+    degree > 2 with an unclustered neighbourhood, one test per twin class
+    (twins share N[v], and so their degree)."""
+    classes = g.twin_classes()
+    centres: set[int] = set()
+    for v, twin in classes.items():   # ascending, so a class's smallest vertex comes first
+        if twin in centres or (twin == v and g.degree(v) > 2
+                               and not _clusters_neighbourhood(g, v, classes.__getitem__)):
+            centres.add(v)
+    return frozenset(centres), tuple(_edges_among(g, centres, classes))
 
 
 def centre_edges(g: Graph) -> list[tuple[int, int]]:
@@ -227,18 +217,7 @@ def is_family_free(g: Graph, fam: FamilySpec, within: set[int] | None = None) ->
         return True
     if fam.sdiamond is not None:
         vertices = g.vertex_set() if within is None else within
-        kept = g.kept("centre_edges", _kept_centres)
-        if kept is not None:
-            centres = kept[0] & vertices
-        else:
-            closed: dict[int, frozenset[int]] = {}
-
-            def twin_key(v: int) -> frozenset[int]:
-                if v not in closed:
-                    closed[v] = frozenset(g.neighbors(v)) | {v}
-                return closed[v]
-
-            centres = _centres(g, vertices, twin_key)
+        centres = g.memo("centre_edges", _kept_centres)[0] & vertices
         if any(_first_centred(g, x, y, fam.sdiamond, ()) is not None
                for x, y in _edges_among(g, centres, vertices)):
             return False

@@ -1,7 +1,9 @@
 import hashlib
 import io
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -18,7 +20,6 @@ from diamondkernel.errors import InvariantError, ParseError
 from diamondkernel.family import FamilySpec
 from diamondkernel.graph import Graph
 from diamondkernel.harness import verify_rule_safety
-from diamondkernel.instances import gen_gnp
 from diamondkernel.io import MAX_EDGES, MAX_VERTICES, parse_instance, serialize_instance
 from diamondkernel.phase1 import Instance
 from diamondkernel.solver import Solution, solve_branching
@@ -200,9 +201,23 @@ def test_reader_rows_take_the_same_path(text, swept):
     assert read_outcome(parse_instance, text) == read_outcome(instance_io._parse_lines, text)
 
 
+def sparse_gnp(n, p, seed):
+    """A G(n, p) sample in O(n + m): geometric skips over the pairs w < v
+    (Batagelj & Brandes, Phys. Rev. E 2005)."""
+    rng, log_q, edges = random.Random(seed), math.log(1 - p), []
+    v, w = 1, -1
+    while v < n:
+        w += 1 + int(math.log(1 - rng.random()) / log_q)
+        while w >= v and v < n:
+            w, v = w - v, v + 1
+        if v < n:
+            edges.append((w, v))
+    return Graph.from_edges(n, edges)
+
+
 def test_sweep_peaks_no_higher_than_the_line_reader():
-    text = serialize_instance(Instance(gen_gnp(20000, 0.001, 1), 5, FamilySpec.diamond()))
-    assert text.count("\n") == 200_474
+    text = serialize_instance(Instance(sparse_gnp(20000, 0.001, 1), 5, FamilySpec.diamond()))
+    assert text.count("\n") == 199_515
     peaks = []
     for read in (instance_io._parse_lines, parse_instance):
         tracemalloc.start()
@@ -647,3 +662,14 @@ def test_header_over_the_edge_cap_is_refused_on_line_1(tmp_path, capsys):
     # m at the cap passes the header check
     with pytest.raises(ParseError, match=f"header claims {MAX_EDGES} edges, found 0"):
         parse_instance(f"p dfed 2 {MAX_EDGES} 0 diamond\n")
+
+
+def test_body_past_the_header_m_is_refused_at_its_first_extra_edge_line(tmp_path, capsys):
+    # the line reader stops there: the self-loop on line 4 is never reached
+    text = "p dfed 3 1 0 diamond\ne 0 1\ne 1 2\ne 2 2\n"
+    for read in (parse_instance, instance_io._parse_lines):
+        with pytest.raises(ParseError, match="header claims 1 edges, found more") as info:
+            read(text)
+        assert info.value.line == 3
+    assert main(["kernelize", "-i", write(tmp_path, "long.txt", text)]) == 2
+    assert "line 3: header claims 1 edges" in capsys.readouterr().err

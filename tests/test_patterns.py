@@ -300,12 +300,18 @@ def test_component_test_checks_the_kept_centres_it_reads(monkeypatch):
         self._adj[u].discard(v)
         self._adj[v].discard(u)
 
+    checks.set_debug_assertions(False)
+    calls = []
+    real = patterns._clusters_neighbourhood
+    monkeypatch.setattr(patterns, "_clusters_neighbourhood",
+                        lambda g, x, twin_key: calls.append(x) or real(g, x, twin_key))
     g = Graph.from_edges(6, [(0, 1), (0, 4), (0, 5), (1, 2), (1, 5), (2, 5), (2, 3), (3, 5),
                              (4, 5)])
-    assert g.kept("centre_edges", patterns._kept_centres) is None
-    assert not is_family_free(g, DIAMOND) and g.kept("centre_edges", patterns._kept_centres) is None
-    kept = centre_edges(g)
-    assert g.kept("centre_edges", patterns._kept_centres) == ({0, 1, 2, 5}, tuple(kept))
+    assert not is_family_free(g, DIAMOND) and calls
+    calls.clear()
+    assert centre_edges(g) == [(0, 1), (0, 5), (1, 2), (1, 5), (2, 5)] and calls == []
+    # under debug assertions the component test checks the centres it reads
+    checks.set_debug_assertions(True)
     monkeypatch.setattr(Graph, "remove_edge", remove_edge_keeping_memo)
     g.remove_edge(0, 4)
     with pytest.raises(InvariantError, match="kept centre_edges is stale"):

@@ -484,6 +484,23 @@ def test_component_sweep_decides_every_component_on_the_kept_centres(monkeypatch
     assert len(calls) == 13
 
 
+def test_component_sweep_computes_the_split_graphs_centres_once(monkeypatch):
+    # two diamonds sharing vertex 0, an end of both middle edges: the split
+    # sweep splits 0, and the component sweep then decides both 4-vertex
+    # components on the centres of the split graph, computed by its first test
+    checks.set_debug_assertions(False)
+    sizes, calls = [], []
+    real_kept, real_test = patterns._kept_centres, patterns._clusters_neighbourhood
+    monkeypatch.setattr(patterns, "_kept_centres", lambda g: sizes.append(g.n) or real_kept(g))
+    monkeypatch.setattr(patterns, "_clusters_neighbourhood",
+                        lambda g, x, twin_key: calls.append(x) or real_test(g, x, twin_key))
+    g = Graph.from_edges(7, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (0, 4), (0, 5), (0, 6),
+                             (4, 5), (4, 6)])
+    _, log = run_phase1(Instance(g, 2, DIAMOND))
+    assert log.counts() == {"vertex_split": 1}
+    assert sizes == [7, 8] and len(calls) == 5
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(phase1_inputs(),
                  st.builds(lambda g, fam: Instance(g, 0, fam), blow_ups(),
