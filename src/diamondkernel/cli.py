@@ -7,10 +7,10 @@ byte-identical instance files and the same digest.
 
 Exit codes: 0 success / feasible / kernelized, 10 decided-no / infeasible, 2
 usage, parse, or input- or output-path error, 3 size-guard refusal, 1 when
-verify or solve --verify finds a failed check or bench a kernel over its
-bound.  Arguments are range-checked by argparse, so any other exception is a
-fault of the program and ends the run with its traceback (also exit 1); so
-does a failed --debug-assert check.
+verify or solve's check of every deletion set it reports fails, or kernelize
+or bench makes a kernel over its bound.  Arguments are range-checked by
+argparse, so any other exception is a fault of the program and ends the run
+with its traceback (also exit 1); so does a failed --debug-assert check.
 """
 
 from __future__ import annotations
@@ -106,7 +106,9 @@ def cmd_kernelize(args) -> int:
             with open(args.out, "w", newline="") as fh:
                 fh.write(serialize_instance(kern))
     _emit_report(report, args.report)
-    return EXIT_NO if outcome.decided_no else EXIT_OK
+    if outcome.decided_no:
+        return EXIT_NO
+    return EXIT_OK if outcome.report.bound_ok else 1
 
 
 def cmd_solve(args) -> int:
@@ -134,7 +136,6 @@ def cmd_solve(args) -> int:
         report["nodes"] = sol.nodes
         if feasible:
             report["delete_edges"] = [[u, v] for u, v in sorted(sol.delete_set)]
-        if feasible and args.verify:
             verdict = check_solution(inst.graph, inst.family, inst.k, sol)
             report.update(verdict)
             if verdict != {"verified_family_free": True}:
@@ -177,7 +178,7 @@ def cmd_verify(args) -> int:
     family = FamilySpec.parse_token(args.family)
     t0 = time.perf_counter()
     result = verify_rule_safety(args.trials, args.max_n, args.seed, family,
-                                check_solver=args.solver, oracle_cap=args.cap)
+                                oracle_cap=args.cap)
     elapsed = time.perf_counter() - t0
     report = {
         "command": "verify",
@@ -245,8 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", "-i", required=True)
     p.add_argument("--engine", choices=("branching", "brute", "brute-edit"),
                    default="branching")
-    p.add_argument("--verify", action="store_true",
-                   help="check the deletion set on the input (branching engine only)")
     p.add_argument("--cap", type=_at_least(0), help="override the brute-force enumeration cap")
     p.add_argument("--report", help="write the JSON report here instead of stdout")
     p.set_defaults(func=cmd_solve)
@@ -286,8 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=_at_least(0), default=8)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--family", default="diamond")
-    p.add_argument("--solver", action="store_true",
-                   help="also cross-check the branching solver at every budget")
     p.add_argument("--allow-large", action="store_true",
                    help="waive the max-n <= 9 desk-scale guard")
     p.add_argument("--cap", type=_at_least(0), help="override the brute-force enumeration cap")
@@ -303,10 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "solve" and args.verify and args.engine != "branching":
-        parser.error(f"solve --verify needs --engine branching, not {args.engine}")
+    args = build_parser().parse_args(argv)
     checks.set_debug_assertions(args.debug_assert)
     try:
         return args.func(args)

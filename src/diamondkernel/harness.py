@@ -4,10 +4,10 @@ The verifier is the executable form of the safety claims: on a seeded
 random corpus it calls every reduction rule once (a whole sweep of the
 edge, split and component rules, one sunflower firing), runs phase 1 to a
 fixpoint that its rule log must replay to, runs the full kernelization,
-and compares decisions against the brute-force deletion oracle (the solver
-check also passes every deletion set it gets to check_solution).  The
-bench harness kernelizes a fixed corpus and certifies the kernel-size
-bound of every kernel.
+and compares decisions against the brute-force deletion oracle.  It also
+runs the branching solver at every budget from 0 to K_MAX and passes every
+deletion set it gets to check_solution.  The bench harness kernelizes a
+fixed corpus and certifies the kernel-size bound of every kernel.
 """
 
 from __future__ import annotations
@@ -48,9 +48,10 @@ def sample_instance(rng: random.Random, max_n: int, family: FamilySpec) -> Insta
 
 
 def verify_rule_safety(trials: int, max_n: int, seed: int, family: FamilySpec,
-                       check_solver: bool = False, oracle_cap: int | None = None) -> dict:
+                       oracle_cap: int | None = None) -> dict:
     """Run the seeded safety corpus; the result is fully deterministic in
-    (trials, max_n, seed, family, flags)."""
+    (trials, max_n, seed, family, oracle_cap)."""
+    family.require_kernelizable()
     rng = random.Random(seed)
     rule_checks = {name: CheckCounts() for name, _ in rules()}
     kernel_checks = CheckCounts()
@@ -61,8 +62,7 @@ def verify_rule_safety(trials: int, max_n: int, seed: int, family: FamilySpec,
         inst = sample_instance(rng, max_n, family)
         g, k = inst.graph, inst.k
         # one oracle call answers every budget up to the largest one checked
-        minimum = brute_force_min_deletion(g, family, K_MAX if check_solver else k,
-                                           cap=oracle_cap)
+        minimum = brute_force_min_deletion(g, family, K_MAX, cap=oracle_cap)
         before = minimum is not None and minimum <= k
         context = {"trial": trial, "n": g.n, "edges": sorted(g.edges()), "k": k,
                    "family": family.token()}
@@ -94,20 +94,18 @@ def verify_rule_safety(trials: int, max_n: int, seed: int, family: FamilySpec,
             bound_checks.record(bool(outcome.report.bound_ok), context)
         kernel_checks.record(after == before, context)
 
-        if check_solver:
-            for budget in range(0, K_MAX + 1):
-                sol = solve_branching(Instance(g.copy(), budget, family))
-                expected = minimum is not None and minimum <= budget
-                valid = not sol.feasible or (check_solution(g, family, budget, sol)
-                                             == {"verified_family_free": True})
-                solver_checks.record(sol.feasible == expected and valid, {**context, "k": budget})
+        for budget in range(0, K_MAX + 1):
+            sol = solve_branching(Instance(g.copy(), budget, family))
+            expected = minimum is not None and minimum <= budget
+            valid = not sol.feasible or (check_solution(g, family, budget, sol)
+                                         == {"verified_family_free": True})
+            solver_checks.record(sol.feasible == expected and valid, {**context, "k": budget})
 
     sections = {"rules": {name: vars_of(c) for name, c in rule_checks.items()},
                 "kernelization": vars_of(kernel_checks),
                 "phase1_fixpoint": vars_of(fixpoint_checks),
-                "kernel_bounds": vars_of(bound_checks)}
-    if check_solver:
-        sections["solver_cross_check"] = vars_of(solver_checks)
+                "kernel_bounds": vars_of(bound_checks),
+                "solver_cross_check": vars_of(solver_checks)}
     all_counts = list(rule_checks.values()) + [kernel_checks, fixpoint_checks, bound_checks, solver_checks]
     sections["pass"] = all(not c.failures for c in all_counts)
     sections["trials"] = trials

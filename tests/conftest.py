@@ -16,7 +16,7 @@ import pytest
 from diamondkernel import checks
 from diamondkernel.family import FamilySpec
 from diamondkernel.graph import Graph, edge_key
-from diamondkernel.patterns import find_induced_occurrence
+from diamondkernel.patterns import OccurrenceIndex
 from diamondkernel.solver import Solution, _min_toggles, _pair_bits
 
 
@@ -112,16 +112,18 @@ def edge_in_diamond_subgraph(g: Graph, e: tuple[int, int]) -> bool:
 def editing_feasible(g: Graph, fam: FamilySpec, budget: int) -> bool:
     """Exact editing decision: branch on toggling any vertex pair of the
     first surviving occurrence.  Complete because a solution that touches
-    no pair inside an occurrence's vertex set leaves it induced."""
+    no pair inside an occurrence's vertex set leaves it induced.  An
+    OccurrenceIndex follows the toggles; under debug assertions its first()
+    is checked against the scan."""
     if budget < 0:
         return False
-    work = g.copy()
+    index = OccurrenceIndex(g.copy(), fam)
     failed: set[frozenset] = set()
 
     def dfs(remaining: int, toggled: frozenset) -> bool:
         # never re-toggle a pair: solutions are simple toggle sets, so the
         # memo key (the toggled set) pins down the remaining budget too
-        occ = find_induced_occurrence(work, fam)
+        occ = index.first()
         if occ is None:
             return True
         if remaining == 0 or toggled in failed:
@@ -130,11 +132,11 @@ def editing_feasible(g: Graph, fam: FamilySpec, budget: int) -> bool:
             e = edge_key(u, v)
             if e in toggled:
                 continue
-            had = work.has_edge(u, v)
-            (work.remove_edge if had else work.add_edge)(u, v)
+            had = index.g.has_edge(u, v)
+            (index.remove_edge if had else index.add_edge)(u, v)
             if dfs(remaining - 1, toggled | {e}):
                 return True
-            (work.add_edge if had else work.remove_edge)(u, v)
+            (index.add_edge if had else index.remove_edge)(u, v)
         failed.add(toggled)
         return False
 

@@ -260,6 +260,19 @@ def test_kernelize_exit_codes(tmp_path, capsys):
     assert main(["kernelize", "-i", path]) == 10
 
 
+def test_kernel_over_its_bound_exits_1(tmp_path, capsys, monkeypatch):
+    # without --debug-assert the kernel is still reported, and the exit
+    # code says that it broke its bound
+    monkeypatch.setattr(phase2, "kernel_vertex_bound", lambda k, fam: 0)
+    path, out = str(tmp_path / "hard.txt"), str(tmp_path / "report.json")
+    assert main(["generate", "hard", "--k", "3", "-o", path]) == 0
+    assert main(["kernelize", "-i", path, "--report", out]) == 1
+    report = json.loads(open(out).read())
+    assert report["kernel"]["n"] == 13
+    assert report["kernelization"]["bound_ok"] is False
+    assert capsys.readouterr().err == ""
+
+
 def test_kernelize_writes_kernel_file(tmp_path, capsys):
     path = write(tmp_path, "d.txt", DIAMOND_FILE)
     out = str(tmp_path / "kernel.txt")
@@ -305,7 +318,7 @@ def test_kernelize_twin_rich_digests_are_pinned(seed, digest, tmp_path, capsys):
 
 def test_solve_exit_codes(tmp_path, capsys):
     path = write(tmp_path, "d.txt", DIAMOND_FILE)
-    assert main(["solve", "-i", path, "--verify"]) == 0
+    assert main(["solve", "-i", path]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["feasible"] and len(report["delete_edges"]) == 1
     assert report["verified_family_free"]
@@ -323,9 +336,7 @@ def test_solve_verify_failure_exits_1(tmp_path, capsys, monkeypatch):
     # a "solution" deleting the non-edge 0-3 leaves the diamond in place
     monkeypatch.setattr(cli, "solve_branching", lambda inst: Solution.of([(0, 3)], 1))
     path = write(tmp_path, "d.txt", DIAMOND_FILE)
-    assert main(["solve", "-i", path]) == 0
-    capsys.readouterr()
-    assert main(["solve", "-i", path, "--verify"]) == 1
+    assert main(["solve", "-i", path]) == 1
     captured = capsys.readouterr()
     assert json.loads(captured.out)["verified_family_free"] is False
     assert "Traceback" not in captured.err
@@ -339,7 +350,7 @@ def test_solve_verify_rejects_invalid_sets(k, edges, failed, tmp_path, capsys, m
     # each set leaves the diamond family-free, yet is no solution at budget k
     monkeypatch.setattr(cli, "solve_branching", lambda inst: Solution.of(edges, 1))
     path = write(tmp_path, "d.txt", DIAMOND_FILE.replace("4 5 1", f"4 5 {k}"))
-    assert main(["solve", "-i", path, "--verify"]) == 1
+    assert main(["solve", "-i", path]) == 1
     captured = capsys.readouterr()
     report = json.loads(captured.out)
     assert report["verified_family_free"] is True
@@ -370,14 +381,15 @@ def test_usage_error_exit(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_solve_verify_needs_the_branching_engine(tmp_path, capsys):
-    # the brute engines return a minimum, not a set that --verify could check
+def test_solve_brute_engines_report_no_verification(tmp_path, capsys):
+    # the brute engines return a minimum, not a set that could be checked
     path = write(tmp_path, "d.txt", DIAMOND_FILE)
     for engine in ("brute", "brute-edit"):
-        with pytest.raises(SystemExit) as info:
-            main(["solve", "-i", path, "--engine", engine, "--verify"])
-        assert info.value.code == 2
-        assert "--verify needs --engine branching" in capsys.readouterr().err
+        assert main(["solve", "-i", path, "--engine", engine]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["minimum"] == 1
+        assert not {"delete_edges", "verified_family_free", "non_edges",
+                    "over_budget"} & report.keys()
 
 
 def _refuse_open(*args, **kwargs):
@@ -566,6 +578,22 @@ def test_verify_command_reports_and_digests(tmp_path, capsys):
     assert first["result"]["pass"]
 
 
+def test_verify_always_cross_checks_the_solver(capsys):
+    assert main(["verify", "--trials", "20", "--max-n", "7", "--seed", "3"]) == 0
+    cross = json.loads(capsys.readouterr().out)["result"]["solver_cross_check"]
+    assert cross["applied"] == 20 * (harness.K_MAX + 1) and cross["failure_count"] == 0
+
+
+@pytest.mark.parametrize("family", ["2-diamond", "k4"])
+def test_verify_refuses_a_family_the_kernelizer_does_not_support(family, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "brute_force_min_deletion",
+                        lambda *args, **kwargs: calls.append(args))
+    assert main(["verify", "--trials", "3", "--max-n", "6", "--family", family]) == 2
+    assert "is not supported by the kernelizer" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_verify_guard_on_large_n(capsys):
     assert main(["verify", "--max-n", "12", "--trials", "1"]) == 3
     capsys.readouterr()
@@ -591,8 +619,7 @@ def test_verify_checks_the_solver_deletion_sets(monkeypatch):
         return Solution.of(sorted(sol.delete_set)[1:], sol.nodes)
 
     monkeypatch.setattr(harness, "solve_branching", drop_one)
-    result = verify_rule_safety(trials=60, max_n=8, seed=3, family=FamilySpec.diamond(),
-                                check_solver=True)
+    result = verify_rule_safety(trials=60, max_n=8, seed=3, family=FamilySpec.diamond())
     assert not result["pass"]
     assert result["solver_cross_check"]["failure_count"] > 0
 
@@ -613,8 +640,7 @@ def test_bench_command(capsys):
     ("diamond,k4", "84add75824b512a58c7a2d718ffe0f0e902e9b0cacb7779e03e7b3aba9089c43"),
 ], ids=["diamond", "diamond,k4"])
 def test_verify_solver_digests_are_pinned(family, digest, capsys):
-    argv = ["verify", "--trials", "150", "--max-n", "8", "--seed", "3", "--solver",
-            "--family", family]
+    argv = ["verify", "--trials", "150", "--max-n", "8", "--seed", "3", "--family", family]
     assert main(argv) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["result"]["pass"] and report["digest"] == digest
@@ -636,8 +662,18 @@ def test_solve_reduced_vc_digests_are_pinned(gnp, exit_code, digest, tmp_path, c
     assert main(["generate", "gnp", "--n", n, "--p", p, "--k", k, "--seed", seed,
                  "-o", vc]) == 0
     assert main(["generate", "reduce-vc", "-i", vc, "-o", red]) == 0
-    assert main(["solve", "-i", red, "--verify"]) == exit_code
+    assert main(["solve", "-i", red]) == exit_code
     assert json.loads(capsys.readouterr().out)["digest"] == digest
+
+
+def test_solve_checks_the_deletion_set_it_reports(tmp_path, capsys):
+    vc, red = str(tmp_path / "vc.txt"), str(tmp_path / "red.txt")
+    assert main(["generate", "gnp", "--n", "5", "--p", "0.3", "--k", "1", "--seed", "2",
+                 "-o", vc]) == 0
+    assert main(["generate", "reduce-vc", "-i", vc, "-o", red]) == 0
+    assert main(["solve", "-i", red]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["feasible"] and report["verified_family_free"] is True
 
 
 def test_report_digest_ignores_timings():
