@@ -62,13 +62,15 @@ mask A narrows each pool to the z with xz, yz outside A: an entry whose
 edges miss the new edges is still in the narrower pool, hence still
 first, so only entries that meet them are recomputed, and masked answers
 equal the scan's under A.  K_t items have no index: first() falls back to
-iter_clique_occurrences when no s-diamond is left.
+iter_clique_occurrences when no s-diamond is left.  Every entry change goes
+through one refresh, which from the first loads() call on also keeps each
+edge's load, the number of entries holding it: the solver's packing bound
+and branching rule read the loads, and greedy_packing's index never asks.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from copy import copy
 from dataclasses import dataclass, field
 from itertools import combinations
 from operator import attrgetter
@@ -140,8 +142,9 @@ def _first_centred(g: Graph, x: int, y: int, s: int, avoid: frozenset | set | tu
     if avoid:
         if (x, y) in avoid:
             return None
-        common = {z for z in common
-                  if edge_key(x, z) not in avoid and edge_key(y, z) not in avoid}
+        # z is neither x nor y, so edge_key's self-loop check is inlined away
+        common = {z for z in common if ((x, z) if x < z else (z, x)) not in avoid
+                  and ((y, z) if y < z else (z, y)) not in avoid}
     if len(common) <= s or (bound is not None and min(x, min(common)) > bound):
         return None
     group = _first_independent_subset(g, common, s + 1)
@@ -300,9 +303,13 @@ class OccurrenceIndex:
     mask grows through mask.  first() is find_induced_occurrence(g, fam,
     avoid) at every moment; the module docstring says why.
 
-    A copy shares g and owns its entries and mask.  Once a copy changes g,
-    the original is stale until g is back as it last saw it, which is how
-    solve_branching uses copies.
+    loads() maps each edge to the number of entries holding it.  The map is
+    built on its first call and kept current from then on by every entry
+    change, so an index that never asks for it pays no upkeep.
+
+    A copy shares g and owns its entries, mask and loads.  Once a copy
+    changes g, the original is stale until g is back as it last saw it,
+    which is how solve_branching uses copies.
     """
 
     def __init__(self, g: Graph, fam: FamilySpec) -> None:
@@ -310,17 +317,27 @@ class OccurrenceIndex:
         self.fam = fam
         self.avoid: set[tuple[int, int]] = set()
         self._at: dict[tuple[int, int], PatternOccurrence] = {}
+        self._loads: dict[tuple[int, int], int] | None = None
         if fam.sdiamond is not None:
             self._refresh(centre_edges(g))
 
     def _refresh(self, pairs) -> None:
-        at, g, s, avoid = self._at, self.g, self.fam.sdiamond, self.avoid
+        """Recompute the entries at pairs; a masked centre edge has none."""
+        at, g, s, avoid, loads = self._at, self.g, self.fam.sdiamond, self.avoid, self._loads
         for p in pairs:
-            occ = _first_centred(g, *p, s, avoid) if g.has_edge(*p) else None
+            occ = _first_centred(g, *p, s, avoid) if p not in avoid and g.has_edge(*p) else None
+            old = at.get(p)
             if occ is None:
                 at.pop(p, None)
             else:
                 at[p] = occ
+            if loads is not None:
+                if old is not None:
+                    for e in old.edges:
+                        loads[e] -= 1
+                if occ is not None:
+                    for e in occ.edges:
+                        loads[e] = loads.get(e, 0) + 1
 
     def _toggled(self, u: int, v: int) -> None:
         """Refresh the entries pair uv can change."""
@@ -347,10 +364,27 @@ class OccurrenceIndex:
                        if not occ.edges.isdisjoint(edges)])
 
     def copy(self) -> "OccurrenceIndex":
-        twin = copy(self)
+        twin = OccurrenceIndex.__new__(OccurrenceIndex)
+        twin.g, twin.fam = self.g, self.fam
         twin.avoid = set(self.avoid)
         twin._at = dict(self._at)
+        twin._loads = None if self._loads is None else dict(self._loads)
         return twin
+
+    def loads(self) -> dict[tuple[int, int], int]:
+        """Per edge, the number of entries holding it (the caller must not
+        change the map).  An edge that no entry holds may read 0 or be
+        missing."""
+        if self._loads is None:
+            self._loads = dict(self._recount())
+        elif debug_assertions_enabled():
+            # Counter equality treats a missing edge as a count of 0
+            debug_check(Counter(self._loads) == self._recount(),
+                        "the kept loads disagree with a recount of the entries")
+        return self._loads
+
+    def _recount(self) -> Counter:
+        return Counter(e for occ in self._at.values() for e in occ.edges)
 
     def first(self) -> PatternOccurrence | None:
         occ = min(self._at.values(), key=attrgetter("vertices"), default=None)
@@ -473,22 +507,25 @@ def fewest_conflicts_packing(index: OccurrenceIndex, k: int,
     conflicts first: the min-degree greedy for independent sets on their
     conflict graph (Halldorsson & Radhakrishnan, Algorithmica 1997).
 
-    An entry's count sums, over its edges outside fixed, the number of
-    entries holding the edge; ties go to the smaller vertex tuple.  The
-    pick's unfixed edges are masked in a copy of index, which leaves the
-    caller's index as it was, and the counts are taken afresh.  An entry
-    with only fixed edges counts 0, so it is taken first and stops with
-    budget_exceeded, as do k+1 picks.  K_t items fall back to first()
-    once no entry is left.
+    An entry's count sums index.loads() over its edges outside fixed: an
+    unfixed edge's load is the number of entries holding it; ties go to
+    the smaller vertex tuple.  The pick's unfixed edges are masked in a
+    copy of index, which leaves the caller's index as it was (its loads
+    are kept from this call on), and the copy's mask keeps its loads
+    current, so no pick recounts them.  An entry with only fixed edges
+    counts 0, so it is taken first and stops with budget_exceeded, as do
+    k+1 picks.  K_t items fall back to first() once no entry is left.
     """
     def choose(work: OccurrenceIndex) -> PatternOccurrence | None:
-        entries = [(occ.edges.difference(fixed), occ) for occ in work._at.values()]
-        if not entries:
+        if not work._at:
             return work.first()
-        load = Counter(e for unfixed, _occ in entries for e in unfixed)
-        return min(entries, key=lambda item: (sum(load[e] for e in item[0]),
-                                              item[1].vertices))[1]
+        load = work.loads().__getitem__
+        if fixed:
+            return min(work._at.values(), key=lambda occ: (
+                sum(map(load, occ.edges.difference(fixed))), occ.vertices))
+        return min(work._at.values(), key=lambda occ: (sum(map(load, occ.edges)), occ.vertices))
 
+    index.loads()
     return _pack(index.copy(), k, fixed, choose)
 
 

@@ -20,7 +20,6 @@ instance, so it can confirm a "yes" but never show a "no" or a minimum.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
@@ -108,9 +107,11 @@ def solve_branching(inst: Instance) -> Solution:
       failed branch within its budget, so marking keeps the search complete.
     * Branching rule: "branch on the most conflicted pair" (Boecker,
       Briesemeister, Bui and Truss, TCS 2009) over the node's index
-      entries.  An edge's load is the number of entries whose unfixed
-      edges hold it.  Take the entry with the fewest unfixed edges, ties
-      going to the highest load among them and then to the smallest
+      entries.  An edge's load is the number of entries holding it, which
+      for an unfixed edge counts the entries whose unfixed edges hold it;
+      the index keeps the loads current (OccurrenceIndex.loads), so no
+      node recounts them.  Take the entry with the fewest unfixed edges,
+      ties going to the highest load among them and then to the smallest
       vertex tuple, and try its unfixed edges by descending load, then in
       canonical order.  With no entry, the K_t occurrence of first() is
       branched on in canonical order.  The rule reads the fixed edges, so
@@ -127,10 +128,10 @@ def solve_branching(inst: Instance) -> Solution:
     No node rescans the graph.  Each node asks its own OccurrenceIndex for
     the first occurrence exactly once, through this module's
     find_induced_occurrence, and the packing masks a copy of it.  A branch
-    deletes its edge in another copy and recurses with that; once the
-    branch fails, every deletion below it is undone, so re-adding the edge
-    to the graph makes the node's index current again.  The returned
-    Solution carries the node count.
+    deletes its edge in another copy, which carries the loads, and recurses
+    with that; once the branch fails, every deletion below it is undone,
+    so re-adding the edge to the graph makes the node's index current
+    again.  The returned Solution carries the node count.
     """
     if inst.k < 0:
         return Solution.infeasible()
@@ -155,7 +156,7 @@ def solve_branching(inst: Instance) -> Solution:
         if at:
             # the packing passed, so every entry has an unfixed edge
             unfixed = {key: entry.edges - fixed for key, entry in at.items()}
-            load = Counter(e for free in unfixed.values() for e in free)
+            load = index.loads()
             key = min(unfixed, key=lambda p: (len(unfixed[p]),
                                               -max(map(load.__getitem__, unfixed[p])),
                                               at[p].vertices))
@@ -293,11 +294,6 @@ def brute_force_min_deletion(g: Graph, fam: FamilySpec, kmax: int,
     restricted to the present pairs."""
     size, _ = _min_toggles(g, fam, kmax, cap, list(g.edges()))
     return size
-
-
-def has_induced_pattern_naive(g: Graph, fam: FamilySpec) -> bool:
-    """Subset-enumeration detector, independent of the edge-scan search."""
-    return _leaves_pattern(0, _pattern_windows(g, fam, _pair_bits(g), 0))
 
 
 # -- editing oracle: every vertex pair may be toggled --------------------------

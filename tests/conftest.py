@@ -2,9 +2,10 @@
 
 The oracles here are deliberately naive and separate from the library
 paths they certify: a recursive matching maximizer, a permutation-based
-subgraph containment check, an exact editing search that branches on
-the vertex pairs of a surviving occurrence, and the editing solution that
-the bitmask oracle of diamondkernel.solver finds.
+subgraph containment check, an exact editing search that branches on the
+vertex pairs of a surviving occurrence, and, from the bitmask oracle of
+diamondkernel.solver, a subset-enumeration pattern detector and the
+editing solution it finds.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from diamondkernel import checks
 from diamondkernel.family import FamilySpec
 from diamondkernel.graph import Graph, edge_key
 from diamondkernel.patterns import OccurrenceIndex
-from diamondkernel.solver import Solution, _min_toggles, _pair_bits
+from diamondkernel.solver import (Solution, _leaves_pattern, _min_toggles, _pair_bits,
+                                  _pattern_windows)
 
 
 @pytest.fixture(autouse=True)
@@ -107,6 +109,12 @@ def edge_in_diamond_subgraph(g: Graph, e: tuple[int, int]) -> bool:
             if e in image:
                 return True
     return False
+
+
+def has_induced_pattern_naive(g: Graph, fam: FamilySpec) -> bool:
+    """Subset-enumeration detector, independent of the edge-scan search:
+    the bitmask oracle's pattern table with nothing toggled."""
+    return _leaves_pattern(0, _pattern_windows(g, fam, _pair_bits(g), 0))
 
 
 def editing_feasible(g: Graph, fam: FamilySpec, budget: int) -> bool:

@@ -584,6 +584,23 @@ def test_verify_always_cross_checks_the_solver(capsys):
     assert cross["applied"] == 20 * (harness.K_MAX + 1) and cross["failure_count"] == 0
 
 
+def test_verify_asks_the_oracle_once_per_edge_set_and_budget(capsys, monkeypatch):
+    # at the defaults the run has 777 oracle questions, 461 of them distinct;
+    # the report, and so its digest, is the one that asking all 777 gave
+    asked = []
+    real = harness.brute_force_min_deletion
+
+    def counted(g, fam, k, cap=None):
+        asked.append((frozenset(g.edges()), k))
+        return real(g, fam, k, cap=cap)
+
+    monkeypatch.setattr(harness, "brute_force_min_deletion", counted)
+    assert main(["verify"]) == 0
+    assert len(asked) == len(set(asked)) == 461
+    assert json.loads(capsys.readouterr().out)["digest"] == \
+        "9ed0b4d6783b9957fa2729a5bdc1fbc6f1ede511d6177c9b04177e8e5ce3fd7e"
+
+
 @pytest.mark.parametrize("family", ["2-diamond", "k4"])
 def test_verify_refuses_a_family_the_kernelizer_does_not_support(family, capsys, monkeypatch):
     calls = []

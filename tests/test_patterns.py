@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -14,11 +15,11 @@ from diamondkernel.patterns import (OccurrenceIndex, _clusters_neighbourhood, ce
                                     is_core_member_edge, is_family_free,
                                     iter_clique_occurrences, iter_sdiamond_occurrences,
                                     non_core_edges)
-from diamondkernel.solver import _min_toggles, has_induced_pattern_naive
+from diamondkernel.solver import _min_toggles
 from diamondkernel.instances import clique_layout, gen_hard_structure, gen_planted_yes
 
 from conftest import (apex_gadgets, complete_graph, cycle_graph, diamond_graph,
-                      edge_in_diamond_subgraph, path_graph)
+                      edge_in_diamond_subgraph, has_induced_pattern_naive, path_graph)
 
 DIAMOND = FamilySpec.diamond()
 
@@ -574,6 +575,65 @@ def test_occurrence_index_follows_toggles_and_masks(g, fam, k, data):
             for fx in (set(), fixed):
                 assert fewest_conflicts_packing(plain, budget, fx) == \
                     fewest_conflicts_packing(OccurrenceIndex(plain_g.copy(), fam), budget, fx)
+
+
+def _recount_loads(index):
+    return Counter(e for occ in index._at.values() for e in occ.edges)
+
+
+def _recount_pick_packing(index, k, fixed):
+    """fewest_conflicts_packing as it was before the index kept its loads:
+    every pick recounts, per unfixed edge, the entries whose unfixed edges
+    hold it."""
+    def choose(work):
+        entries = [(occ.edges.difference(fixed), occ) for occ in work._at.values()]
+        if not entries:
+            return work.first()
+        load = Counter(e for unfixed, _occ in entries for e in unfixed)
+        return min(entries, key=lambda item: (sum(load[e] for e in item[0]),
+                                              item[1].vertices))[1]
+
+    return patterns._pack(index.copy(), k, fixed, choose)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_graphs(10), st.sampled_from((DIAMOND, FamilySpec.s_diamond(2),
+                                          FamilySpec.diamond_kt(4))),
+       st.integers(0, 3), st.data())
+def test_kept_loads_follow_toggles_masks_and_copies(g, fam, k, data):
+    # a stack of copies, as solve_branching keeps them: a toggle goes through
+    # a copy of the top index, and popping undoes it on the shared graph, so
+    # the index below is current again; the top may also take masks
+    g = g.copy()
+    stack = [(OccurrenceIndex(g, fam), None)]
+    pairs = list(combinations(g.vertices, 2))
+    checked = data.draw(st.booleans())   # False: loads() is first asked later
+    for _ in range(data.draw(st.integers(1, 12))):
+        step = data.draw(st.sampled_from(("toggle", "pop", "mask")))
+        top = stack[-1][0]
+        if step == "mask" and g.m:
+            top.mask(set(data.draw(st.lists(st.sampled_from(sorted(g.edges())), max_size=3))))
+        elif step == "pop" and len(stack) > 1:
+            _, pair = stack.pop()
+            (g.remove_edge if g.has_edge(*pair) else g.add_edge)(*pair)
+        elif pairs:
+            pair = data.draw(st.sampled_from(pairs))
+            child = top.copy()
+            (child.remove_edge if g.has_edge(*pair) else child.add_edge)(*pair)
+            stack.append((child, pair))
+        checked = checked or data.draw(st.booleans())
+        if not checked:
+            continue
+        top = stack[-1][0]
+        kept = top.loads()
+        assert {e: c for e, c in kept.items() if c} == _recount_loads(top)
+        fixed = set(data.draw(st.lists(st.sampled_from(sorted(g.edges())),
+                                       max_size=4))) if g.m else set()
+        for budget in (k, g.m):
+            for fx in (set(), fixed):
+                assert fewest_conflicts_packing(top, budget, fx) == \
+                    _recount_pick_packing(top, budget, fx)
+        assert top.loads() == kept   # packing masks a copy of the loads, not these
 
 
 # -- clique partitioning ----------------------------------------------------------------

@@ -15,9 +15,10 @@ from diamondkernel.phase1 import (Instance, RuleEvent, RuleLog, replay, rules,
 from diamondkernel.matching import maximum_non_matching_size
 from diamondkernel.patterns import centre_edges, is_core_member_edge, is_family_free
 from diamondkernel.phase2 import kernelize
-from diamondkernel.solver import brute_force_min_deletion, has_induced_pattern_naive
+from diamondkernel.solver import brute_force_min_deletion
 
-from conftest import apex_gadgets, complete_graph, diamond_graph, path_graph
+from conftest import (apex_gadgets, complete_graph, diamond_graph, has_induced_pattern_naive,
+                      path_graph)
 from test_patterns import blow_ups
 
 DIAMOND = FamilySpec.diamond()

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -6,13 +7,13 @@ from hypothesis import given, settings, strategies as st
 from diamondkernel.errors import FamilyError, InvariantError
 from diamondkernel.family import FamilySpec
 from diamondkernel.graph import Graph
-from diamondkernel.instances import clique_layout, gen_hard_structure, gen_planted_yes
+from diamondkernel.instances import clique_layout, gen_gnp, gen_hard_structure, gen_planted_yes
 from diamondkernel.phase1 import Instance, run_phase1
 from diamondkernel.phase2 import (CliqueContext, Modulator, classify_clique, compute_modulator,
                                   dfed_vertex_bound, dkt_vertex_bound, kernelize,
                                   rule_clique_reduction, validate_modulator)
 from diamondkernel.solver import brute_force_min_deletion
-from diamondkernel.patterns import is_family_free
+from diamondkernel.patterns import OccurrenceIndex, is_family_free
 
 from conftest import apex_gadgets, complete_graph, diamond_graph
 
@@ -313,6 +314,30 @@ def test_kernelize_apex_gadgets_under_debug_assertions():
         assert not yes.decided_no and yes.report.bound_ok
         assert yes.report.rule_firings == {"clique_reduction": c}
         assert kernelize(Instance(g, c - 1, DIAMOND)).decided_no
+
+
+def test_kernelize_never_asks_an_index_for_its_loads(monkeypatch):
+    # inputs shaped like the kernel benchmarks: planted chains of 6-cliques,
+    # G(n, 4/n) graphs and apex gadgets; greedy_packing builds an index for
+    # each modulator, and an index that never calls loads() keeps none
+    def refuse(self):
+        raise AssertionError("kernelize asked an OccurrenceIndex for its loads")
+
+    built = []
+    real_init = OccurrenceIndex.__init__
+    monkeypatch.setattr(OccurrenceIndex, "loads", refuse)
+    monkeypatch.setattr(OccurrenceIndex, "__init__",
+                        lambda self, *args: built.append(1) or real_init(self, *args))
+    rng = random.Random(1)
+    insts = [gen_planted_yes(clique_layout([6] * count, "chain"), 1, rng.getrandbits(32))
+             for count in (20, 32)]
+    insts += [Instance(gen_gnp(n, 4 / n, rng.getrandbits(32)), 6, DIAMOND) for n in (30, 60)]
+    for c, q in ((2, 10), (3, 14)):
+        g, _ = apex_gadgets(c, q)
+        insts += [Instance(g.copy(), c, DIAMOND), Instance(g, c - 1, DIAMOND)]
+    for inst in insts:
+        kernelize(inst)
+    assert built
 
 
 def test_vertex_bounds():
